@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -260,6 +261,8 @@ int main(int argc, char** argv) {
   bench::Json doc = bench::Json::object();
   doc.field("bench", "device_scale")
       .field("timestamp", bench::iso_timestamp())
+      .field("nproc", static_cast<long long>(std::thread::hardware_concurrency()))
+      .field("build_type", FPR_BUILD_TYPE)
       .field("width", kWidth)
       .field("template_compile_failures", static_cast<long long>(stats.compile_failures))
       .field("all_routes_bit_identical", all_identical)

@@ -348,7 +348,8 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
           os << where.str() << "route traverses faulted edge " << e;
           r.fail(os.str());
         }
-        for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
+        const Graph::Edge ed = g.edge(e);
+        for (const NodeId v : {ed.u, ed.v}) {
           if (device.is_wire(v) && ((fault_model != nullptr && fault_model->wire_faulted(v)) ||
                                     (any_events && events->wire_faulted(v)))) {
             std::ostringstream os;

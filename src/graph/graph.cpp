@@ -9,14 +9,12 @@ namespace fpr {
 Graph::Graph(NodeId node_count) { add_nodes(node_count); }
 
 void Graph::copy_logical_state(const Graph& other) {
-  edges_ = other.edges_;
-  incident_ = other.incident_;
-  traversal_weight_ = other.traversal_weight_;
-  topo_ = other.topo_;
-  tiled_weight_ = other.tiled_weight_;
-  tiled_edge_active_ = other.tiled_edge_active_;
-  tiled_lower_end_ = other.tiled_lower_end_;
+  ends_ = other.ends_;
+  weight_ = other.weight_;
+  active_ = other.active_;
   node_active_ = other.node_active_;
+  topo_ = other.topo_;
+  incident_ = other.incident_;
   revision_ = other.revision_;
   structural_revision_ = other.structural_revision_;
   usable_edges_ = other.usable_edges_;
@@ -37,14 +35,12 @@ Graph& Graph::operator=(const Graph& other) {
 }
 
 Graph::Graph(Graph&& other) noexcept
-    : edges_(std::move(other.edges_)),
-      incident_(std::move(other.incident_)),
-      traversal_weight_(std::move(other.traversal_weight_)),
-      topo_(std::move(other.topo_)),
-      tiled_weight_(std::move(other.tiled_weight_)),
-      tiled_edge_active_(std::move(other.tiled_edge_active_)),
-      tiled_lower_end_(std::move(other.tiled_lower_end_)),
+    : ends_(std::move(other.ends_)),
+      weight_(std::move(other.weight_)),
+      active_(std::move(other.active_)),
       node_active_(std::move(other.node_active_)),
+      topo_(std::move(other.topo_)),
+      incident_(std::move(other.incident_)),
       revision_(other.revision_),
       structural_revision_(other.structural_revision_),
       usable_edges_(other.usable_edges_),
@@ -59,14 +55,12 @@ Graph::Graph(Graph&& other) noexcept
 
 Graph& Graph::operator=(Graph&& other) noexcept {
   if (this != &other) {
-    edges_ = std::move(other.edges_);
-    incident_ = std::move(other.incident_);
-    traversal_weight_ = std::move(other.traversal_weight_);
-    topo_ = std::move(other.topo_);
-    tiled_weight_ = std::move(other.tiled_weight_);
-    tiled_edge_active_ = std::move(other.tiled_edge_active_);
-    tiled_lower_end_ = std::move(other.tiled_lower_end_);
+    ends_ = std::move(other.ends_);
+    weight_ = std::move(other.weight_);
+    active_ = std::move(other.active_);
     node_active_ = std::move(other.node_active_);
+    topo_ = std::move(other.topo_);
+    incident_ = std::move(other.incident_);
     revision_ = other.revision_;
     structural_revision_ = other.structural_revision_;
     usable_edges_ = other.usable_edges_;
@@ -88,16 +82,17 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   const NodeId n = topo->node_count;
   const EdgeId m = topo->edge_count;
   g.node_active_.assign(static_cast<std::size_t>(n), 1);
-  g.tiled_weight_.assign(static_cast<std::size_t>(m), 0);
-  g.tiled_edge_active_.assign(static_cast<std::size_t>(m), 1);
-  g.tiled_lower_end_.assign(static_cast<std::size_t>(m), kInvalidNode);
+  g.ends_.assign(static_cast<std::size_t>(m), EdgeEnds{});
+  g.weight_.assign(static_cast<std::size_t>(m), 0);
+  g.active_.assign(static_cast<std::size_t>(m), 1);
 
   // Stamping pass: one tile-row-at-a-time walk over every synthesized slot.
-  // Each edge must be emitted by exactly two nodes — its smaller endpoint
-  // first in node order — with matching base weights; together with the
-  // range checks this proves the template's id arithmetic covers [0, m)
-  // exactly, so the traversal backend can index state arrays unchecked.
-  std::int64_t applied = 0;
+  // The lower endpoint records {lower, ~upper} (the complement marks the
+  // upper emission as pending); the upper endpoint must then find exactly
+  // that pair, with a matching base weight, and confirms it. Together with
+  // the range checks and the final sweep this proves each edge id in [0, m)
+  // is emitted exactly once by each of its endpoints, so the traversal
+  // backend can index state arrays unchecked.
   topo->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
     topo->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot& slot) {
       FPR_CHECK(nbr >= 0 && nbr < n,
@@ -106,35 +101,34 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
       FPR_CHECK(nbr != v, "tiled template: self-loop at node " << v);
       FPR_CHECK(e >= 0 && e < m, "tiled template: node " << v << " synthesizes edge " << e
                                                          << " outside [0, " << m << ")");
-      NodeId& lower = g.tiled_lower_end_[static_cast<std::size_t>(e)];
+      EdgeEnds& ends = g.ends_[static_cast<std::size_t>(e)];
       if (v < nbr) {
-        FPR_CHECK(lower == kInvalidNode,
+        FPR_CHECK(ends.u == kInvalidNode,
                   "tiled template: edge " << e << " emitted twice as a lower endpoint (nodes "
-                                          << lower << " and " << v << ")");
-        lower = v;
-        g.tiled_weight_[static_cast<std::size_t>(e)] = slot.base_weight;
+                                          << ends.u << " and " << v << ")");
+        ends = EdgeEnds{v, ~nbr};
+        g.weight_[static_cast<std::size_t>(e)] = slot.base_weight;
       } else {
-        FPR_CHECK(lower == nbr, "tiled template: edge " << e << " endpoints disagree (" << v
-                                                        << " expected lower end " << nbr
-                                                        << ", recorded " << lower << ")");
-        FPR_CHECK(g.tiled_weight_[static_cast<std::size_t>(e)] == slot.base_weight,
+        FPR_CHECK(ends.u == nbr && ends.v == ~v,
+                  "tiled template: edge " << e << " emitted by upper endpoint " << v
+                                          << " with lower end " << nbr << ", but recorded {"
+                                          << ends.u << ", " << (ends.v < 0 ? ~ends.v : ends.v)
+                                          << (ends.v < 0 ? "} (pending)" : "} (already emitted)"));
+        FPR_CHECK(g.weight_[static_cast<std::size_t>(e)] == slot.base_weight,
                   "tiled template: edge " << e << " base weight mismatch between endpoints");
+        ends.v = v;
       }
-      ++applied;
     });
   });
-  FPR_CHECK(applied == static_cast<std::int64_t>(m) * 2,
-            "tiled template: " << applied << " slot applications for " << m
-                               << " edges (expected exactly 2 per edge)");
-  for (EdgeId e = 0; e < m; ++e) {
-    FPR_CHECK(g.tiled_lower_end_[static_cast<std::size_t>(e)] != kInvalidNode,
-              "tiled template: edge id " << e << " is never emitted");
-  }
 
   g.usable_edges_ = m;
   g.usable_weight_sum_ = 0;
   for (EdgeId e = 0; e < m; ++e) {
-    g.usable_weight_sum_ += g.tiled_weight_[static_cast<std::size_t>(e)];
+    const EdgeEnds& ends = g.ends_[static_cast<std::size_t>(e)];
+    FPR_CHECK(ends.u != kInvalidNode, "tiled template: edge id " << e << " is never emitted");
+    FPR_CHECK(ends.v >= 0, "tiled template: edge " << e << " is never emitted by its upper "
+                                                   << "endpoint " << ~ends.v);
+    g.usable_weight_sum_ += g.weight_[static_cast<std::size_t>(e)];
   }
   g.topo_ = std::move(topo);
   g.revision_ = 1;
@@ -144,37 +138,13 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
 
 void Graph::materialize() {
   if (topo_ == nullptr) return;
-  const std::shared_ptr<const TiledTopology> topo = std::move(topo_);
-  topo_ = nullptr;
-  const auto n = static_cast<std::size_t>(topo->node_count);
-  const auto m = static_cast<std::size_t>(topo->edge_count);
-  edges_.assign(m, Edge{});
-  incident_.assign(n, {});
-  traversal_weight_.assign(m, kInfiniteWeight);
-  // Node-major walk reproduces the materialized invariants exactly:
-  // incident lists in ascending edge order, each edge's `u` its smaller
-  // (first-emitted) endpoint.
-  topo->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-    topo->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
-      incident_[static_cast<std::size_t>(v)].push_back(e);
-      if (v < nbr) {
-        Edge& ed = edges_[static_cast<std::size_t>(e)];
-        ed.u = v;
-        ed.v = nbr;
-        ed.weight = tiled_weight_[static_cast<std::size_t>(e)];
-        ed.active = tiled_edge_active_[static_cast<std::size_t>(e)] != 0;
-        if (ed.active && node_active(v) && node_active(nbr)) {
-          traversal_weight_[static_cast<std::size_t>(e)] = ed.weight;
-        }
-      }
-    });
+  incident_.assign(static_cast<std::size_t>(node_count()), {});
+  topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
+    std::vector<EdgeId>& inc = incident_[static_cast<std::size_t>(v)];
+    inc.reserve(d.count);
+    topo_->apply(d, [&](NodeId, EdgeId e, const TiledSlot&) { inc.push_back(e); });
   });
-  tiled_weight_.clear();
-  tiled_weight_.shrink_to_fit();
-  tiled_edge_active_.clear();
-  tiled_edge_active_.shrink_to_fit();
-  tiled_lower_end_.clear();
-  tiled_lower_end_.shrink_to_fit();
+  topo_ = nullptr;
   // The logical graph is unchanged, so a published CSR snapshot (stamped
   // from the same template) remains valid; revisions stay put.
 }
@@ -202,48 +172,19 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
                         << " — routing costs are non-negative");
   materialize();
   const EdgeId id = edge_count();
-  edges_.push_back(Edge{u, v, w, true});
+  ends_.push_back(EdgeEnds{u, v});
+  weight_.push_back(w);
+  active_.push_back(1);
   incident_[static_cast<std::size_t>(u)].push_back(id);
   incident_[static_cast<std::size_t>(v)].push_back(id);
-  const bool usable = node_active(u) && node_active(v);
-  traversal_weight_.push_back(usable ? w : kInfiniteWeight);
-  if (usable) {
+  if (node_active(u) && node_active(v)) {
     ++usable_edges_;
     usable_weight_sum_ += w;
   }
-  if (track_touched_) edge_dirty_.resize(edges_.size(), 0);
+  if (track_touched_) edge_dirty_.resize(ends_.size(), 0);
   ++revision_;
   ++structural_revision_;
   return id;
-}
-
-Graph::Edge Graph::tiled_edge(EdgeId e) const {
-  FPR_CHECK(e >= 0 && e < edge_count(),
-            "edge " << e << " outside edge range [0, " << edge_count() << ")");
-  Edge ed;
-  ed.u = tiled_lower_end_[static_cast<std::size_t>(e)];
-  ed.v = tiled_upper_end(e);
-  ed.weight = tiled_weight_[static_cast<std::size_t>(e)];
-  ed.active = tiled_edge_active_[static_cast<std::size_t>(e)] != 0;
-  return ed;
-}
-
-NodeId Graph::tiled_upper_end(EdgeId e) const {
-  const NodeId u = tiled_lower_end_[static_cast<std::size_t>(e)];
-  NodeId found = kInvalidNode;
-  topo_->for_each_slot(u, [&](NodeId nbr, EdgeId slot_e, const TiledSlot&) {
-    if (slot_e == e) found = nbr;
-  });
-  FPR_CHECK(found != kInvalidNode,
-            "tiled edge " << e << ": recorded endpoint " << u << " does not emit it");
-  return found;
-}
-
-bool Graph::tiled_edge_usable(EdgeId e) const {
-  if (!tiled_edge_active_[static_cast<std::size_t>(e)]) return false;
-  const NodeId u = tiled_lower_end_[static_cast<std::size_t>(e)];
-  if (!node_active(u)) return false;
-  return node_active(tiled_upper_end(e));
 }
 
 std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
@@ -264,22 +205,17 @@ void Graph::sync_csr_weight(EdgeId e, Weight w) {
   csr_.weight[static_cast<std::size_t>(csr_.slot[s + 1])] = w;
 }
 
-void Graph::sync_edge_usability(EdgeId e, bool usable_now) {
-  const auto idx = static_cast<std::size_t>(e);
-  const bool usable_before = traversal_weight_[idx] != kInfiniteWeight;
-  if (usable_before == usable_now) return;
-  const Weight w = edges_[idx].weight;
-  if (usable_now) {
-    ++usable_edges_;
-    usable_weight_sum_ += w;
-    traversal_weight_[idx] = w;
-    sync_csr_weight(e, w);
-  } else {
-    --usable_edges_;
-    usable_weight_sum_ -= w;
-    traversal_weight_[idx] = kInfiniteWeight;
-    sync_csr_weight(e, kInfiniteWeight);
-  }
+void Graph::enter_usable(EdgeId e) {
+  const Weight w = weight_[static_cast<std::size_t>(e)];
+  ++usable_edges_;
+  usable_weight_sum_ += w;
+  sync_csr_weight(e, w);
+}
+
+void Graph::leave_usable(EdgeId e) {
+  --usable_edges_;
+  usable_weight_sum_ -= weight_[static_cast<std::size_t>(e)];
+  sync_csr_weight(e, kInfiniteWeight);
 }
 
 void Graph::set_edge_weight(EdgeId e, Weight w) {
@@ -288,135 +224,75 @@ void Graph::set_edge_weight(EdgeId e, Weight w) {
   FPR_CHECK(w >= 0, "set_edge_weight edge " << e << " to " << w
                         << " — routing costs are non-negative");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    Weight& cur = tiled_weight_[static_cast<std::size_t>(e)];
-    if (tiled_edge_usable(e)) {
-      usable_weight_sum_ += w - cur;
-      sync_csr_weight(e, w);
-    }
-    cur = w;
-    ++revision_;
-    return;
-  }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  if (traversal_weight_[static_cast<std::size_t>(e)] != kInfiniteWeight) {
-    usable_weight_sum_ += w - ed.weight;
-    traversal_weight_[static_cast<std::size_t>(e)] = w;
+  Weight& cur = weight_[static_cast<std::size_t>(e)];
+  if (edge_usable(e)) {
+    usable_weight_sum_ += w - cur;
     sync_csr_weight(e, w);
   }
-  ed.weight = w;
+  cur = w;
   ++revision_;
 }
 
 void Graph::add_edge_weight(EdgeId e, Weight delta) {
   FPR_CHECK(e >= 0 && e < edge_count(),
             "add_edge_weight edge " << e << " outside edge range [0, " << edge_count() << ")");
+  Weight& cur = weight_[static_cast<std::size_t>(e)];
+  FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
+                                  << delta << " would make the routing cost negative");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    Weight& cur = tiled_weight_[static_cast<std::size_t>(e)];
-    FPR_CHECK(cur + delta >= 0, "add_edge_weight edge " << e << " (weight " << cur << ") by "
-                                    << delta << " would make the routing cost negative");
-    cur += delta;
-    if (tiled_edge_usable(e)) {
-      usable_weight_sum_ += delta;
-      sync_csr_weight(e, cur);
-    }
-    ++revision_;
-    return;
-  }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  FPR_CHECK(ed.weight + delta >= 0, "add_edge_weight edge " << e << " (weight " << ed.weight
-                                        << ") by " << delta
-                                        << " would make the routing cost negative");
-  ed.weight += delta;
-  if (traversal_weight_[static_cast<std::size_t>(e)] != kInfiniteWeight) {
+  cur += delta;
+  if (edge_usable(e)) {
     usable_weight_sum_ += delta;
-    traversal_weight_[static_cast<std::size_t>(e)] = ed.weight;
-    sync_csr_weight(e, ed.weight);
+    sync_csr_weight(e, cur);
   }
   ++revision_;
 }
 
 void Graph::remove_edge(EdgeId e) {
+  FPR_CHECK(e >= 0 && e < edge_count(),
+            "remove_edge edge " << e << " outside edge range [0, " << edge_count() << ")");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    char& act = tiled_edge_active_[static_cast<std::size_t>(e)];
-    if (act != 0 && tiled_edge_usable(e)) {
-      --usable_edges_;
-      usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-      sync_csr_weight(e, kInfiniteWeight);
-    }
-    act = 0;
-    ++revision_;
-    return;
-  }
-  edges_[static_cast<std::size_t>(e)].active = false;
-  sync_edge_usability(e, false);
+  if (edge_usable(e)) leave_usable(e);
+  active_[static_cast<std::size_t>(e)] = 0;
   ++revision_;
 }
 
 void Graph::restore_edge(EdgeId e) {
+  FPR_CHECK(e >= 0 && e < edge_count(),
+            "restore_edge edge " << e << " outside edge range [0, " << edge_count() << ")");
   mark_edge_touched(e);
-  if (topo_ != nullptr) {
-    char& act = tiled_edge_active_[static_cast<std::size_t>(e)];
-    if (act == 0) {
-      act = 1;
-      if (tiled_edge_usable(e)) {
-        ++usable_edges_;
-        usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-        sync_csr_weight(e, tiled_weight_[static_cast<std::size_t>(e)]);
-      }
-    }
-    ++revision_;
-    return;
+  char& act = active_[static_cast<std::size_t>(e)];
+  if (act == 0) {
+    act = 1;
+    if (edge_usable(e)) enter_usable(e);
   }
-  auto& ed = edges_[static_cast<std::size_t>(e)];
-  ed.active = true;
-  sync_edge_usability(e, node_active(ed.u) && node_active(ed.v));
   ++revision_;
 }
 
 void Graph::remove_node(NodeId v) {
-  if (node_active_[static_cast<std::size_t>(v)]) {
+  FPR_CHECK(v >= 0 && v < node_count(),
+            "remove_node node " << v << " outside node range [0, " << node_count() << ")");
+  if (node_active(v)) {
     mark_node_touched(v);
     node_active_[static_cast<std::size_t>(v)] = 0;
-    if (topo_ != nullptr) {
-      // v was active, so each incident edge was usable iff it is active and
-      // its far endpoint is; slot order is ascending edge id, matching the
-      // materialized incident-list order (and its float-sum trajectory).
-      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
-        if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
-          --usable_edges_;
-          usable_weight_sum_ -= tiled_weight_[static_cast<std::size_t>(e)];
-          sync_csr_weight(e, kInfiniteWeight);
-        }
-      });
-    } else {
-      for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
-        sync_edge_usability(e, false);
-      }
-    }
+    // v was active, so each incident edge was usable iff it is active and
+    // its far endpoint is.
+    for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+      if (active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) leave_usable(e);
+    });
   }
   ++revision_;
 }
 
 void Graph::restore_node(NodeId v) {
-  if (!node_active_[static_cast<std::size_t>(v)]) {
+  FPR_CHECK(v >= 0 && v < node_count(),
+            "restore_node node " << v << " outside node range [0, " << node_count() << ")");
+  if (!node_active(v)) {
     mark_node_touched(v);
     node_active_[static_cast<std::size_t>(v)] = 1;
-    if (topo_ != nullptr) {
-      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
-        if (tiled_edge_active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) {
-          ++usable_edges_;
-          usable_weight_sum_ += tiled_weight_[static_cast<std::size_t>(e)];
-          sync_csr_weight(e, tiled_weight_[static_cast<std::size_t>(e)]);
-        }
-      });
-    } else {
-      for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
-        sync_edge_usability(e, edge_usable(e));
-      }
-    }
+    for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+      if (active_[static_cast<std::size_t>(e)] != 0 && node_active(nbr)) enter_usable(e);
+    });
   }
   ++revision_;
 }
@@ -445,55 +321,17 @@ const CsrAdjacency& Graph::csr() const {
 void Graph::rebuild_csr(std::uint64_t want) const {
   MutexLock lock(csr_mu_);
   if (csr_structural_.load(std::memory_order_relaxed) != want) {
-    if (topo_ != nullptr) {
-      rebuild_csr_tiled();
-    } else {
-      rebuild_csr_materialized();
-    }
+    build_csr();
     csr_structural_.store(want, std::memory_order_release);
   }
 }
 
-void Graph::rebuild_csr_materialized() const {
-  const auto n = static_cast<std::size_t>(node_count());
-  csr_.offsets.assign(n + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    csr_.offsets[v] = static_cast<EdgeId>(total);
-    total += incident_[v].size();
-  }
-  csr_.offsets[n] = static_cast<EdgeId>(total);
-  csr_.neighbor.resize(total);
-  csr_.edge_id.resize(total);
-  csr_.weight.resize(total);
-  csr_.slot.assign(static_cast<std::size_t>(edge_count()) * 2, kInvalidEdge);
-  std::size_t k = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    // Insertion order is preserved, matching incident_edges() — the
-    // deterministic-parent guarantee of dijkstra() relies on this.
-    for (const EdgeId e : incident_[v]) {
-      const Edge& ed = edges_[static_cast<std::size_t>(e)];
-      csr_.neighbor[k] = ed.u == static_cast<NodeId>(v) ? ed.v : ed.u;
-      csr_.edge_id[k] = e;
-      csr_.weight[k] = traversal_weight_[static_cast<std::size_t>(e)];
-      // Each edge occupies exactly two slots (no self-loops); remember
-      // both so weight mutations can patch them in place.
-      auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
-      if (first == kInvalidEdge) {
-        first = static_cast<EdgeId>(k);
-      } else {
-        csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
-      }
-      ++k;
-    }
-  }
-}
-
-void Graph::rebuild_csr_tiled() const {
-  // Stamped assembly: exact sizes up front, then one tile-row-at-a-time
-  // fill in node order — no incremental growth, no per-node vectors. The
-  // result is byte-identical to rebuild_csr_materialized() on the
-  // materialized equivalent (the differential suite pins this).
+void Graph::build_csr() const {
+  // Exact sizes up front (each edge occupies exactly two slots: no
+  // self-loops), then one fill in node order. Slices follow incident-list
+  // order — the deterministic-parent guarantee of dijkstra() relies on this
+  // — so a tiled graph's snapshot is byte-identical to its materialized
+  // equivalent's (the differential suite pins this).
   const auto n = static_cast<std::size_t>(node_count());
   const std::size_t total = static_cast<std::size_t>(edge_count()) * 2;
   csr_.offsets.assign(n + 1, 0);
@@ -502,25 +340,32 @@ void Graph::rebuild_csr_tiled() const {
   csr_.weight.resize(total);
   csr_.slot.assign(total, kInvalidEdge);
   std::size_t k = 0;
-  topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-    csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
-    const bool v_active = node_active_[static_cast<std::size_t>(v)] != 0;
-    topo_->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) {
-      csr_.neighbor[k] = nbr;
-      csr_.edge_id[k] = e;
-      const bool usable = v_active && tiled_edge_active_[static_cast<std::size_t>(e)] != 0 &&
-                          node_active_[static_cast<std::size_t>(nbr)] != 0;
-      csr_.weight[k] = usable ? tiled_weight_[static_cast<std::size_t>(e)] : kInfiniteWeight;
-      auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
-      if (first == kInvalidEdge) {
-        first = static_cast<EdgeId>(k);
-      } else {
-        csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
-      }
-      ++k;
+  const auto fill = [&](NodeId nbr, EdgeId e) {
+    csr_.neighbor[k] = nbr;
+    csr_.edge_id[k] = e;
+    csr_.weight[k] = edge_usable(e) ? weight_[static_cast<std::size_t>(e)] : kInfiniteWeight;
+    // Remember both slots so weight mutations can patch them in place.
+    auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
+    if (first == kInvalidEdge) {
+      first = static_cast<EdgeId>(k);
+    } else {
+      csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
+    }
+    ++k;
+  };
+  if (topo_ != nullptr) {
+    // Tile-row-at-a-time walk: the pattern lookup is hoisted per cell.
+    topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
+      csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
+      topo_->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fill(nbr, e); });
     });
-  });
-  FPR_CHECK(k == total, "tiled CSR stamp filled " << k << " of " << total << " slots");
+  } else {
+    for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+      csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
+      for_each_incident(v, fill);
+    }
+  }
+  FPR_CHECK(k == total, "CSR build filled " << k << " of " << total << " slots");
   csr_.offsets[n] = static_cast<EdgeId>(total);
 }
 

@@ -51,20 +51,20 @@ struct CsrAdjacency {
 /// usable-edge counters exact). Deactivated elements keep their ids;
 /// traversals (Dijkstra, MST, ...) skip them.
 ///
-/// Two representations share this interface (DESIGN.md §12):
+/// Every graph keeps one per-edge store — endpoint pair, weight, activity
+/// byte (17 bytes/edge) — so edge(), other_end() and edge_usable() are
+/// plain array reads. Two representations differ only in where adjacency
+/// comes from (DESIGN.md §12):
 ///
-///  - *Materialized* (the default): adjacency stored explicitly — an edge
-///    table, per-node incident lists, and a flat traversal-weight array.
-///    This is what add_nodes/add_edge incrementally grow.
-///  - *Tiled* (from_tiled()): topology is a shared immutable TiledTopology
-///    and adjacency is synthesized arithmetically on demand. Only mutable
-///    state is stored per element — true edge weights, edge/node activity —
-///    about 14 bytes/edge instead of ~90, which is what lets device sizes
-///    scale 10–100×. The logical graph (ids, order, weights, mutation
-///    semantics, aggregate trajectories) is bit-identical to the
-///    materialized equivalent; the device differential suite pins this.
-///    A tiled graph's structure is fixed; calling add_nodes/add_edge first
-///    materializes it (transparently, preserving all ids and state).
+///  - *Materialized* (the default): per-node incident lists, grown by
+///    add_nodes/add_edge.
+///  - *Tiled* (from_tiled()): adjacency is synthesized arithmetically from
+///    a shared immutable TiledTopology, so no per-node list is stored. The
+///    logical graph (ids, order, weights, mutation semantics, aggregate
+///    trajectories) is bit-identical to the materialized equivalent; the
+///    device differential suite pins this. A tiled graph's structure is
+///    fixed; calling add_nodes/add_edge first materializes it
+///    (transparently, preserving all ids and state).
 ///
 /// Two monotone revision counters drive caching:
 ///  - revision() bumps on EVERY mutation and invalidates anything derived
@@ -89,8 +89,8 @@ class Graph {
   /// Builds a tiled-representation graph over `topo` (see class comment):
   /// every node/edge active, every edge at its slot's base weight. Requires
   /// the template convention that each edge's first-emitted endpoint is the
-  /// smaller id (true of every device builder; verified by the stamping
-  /// pass together with id ranges and two-endpoints-per-edge).
+  /// smaller id (true of every device builder). The stamping pass verifies
+  /// id ranges and that each edge is emitted exactly once by each endpoint.
   static Graph from_tiled(std::shared_ptr<const TiledTopology> topo);
 
   // The CSR cache carries a mutex, so the compiler-generated special members
@@ -108,9 +108,7 @@ class Graph {
   EdgeId add_edge(NodeId u, NodeId v, Weight w);
 
   NodeId node_count() const { return static_cast<NodeId>(node_active_.size()); }
-  EdgeId edge_count() const {
-    return topo_ != nullptr ? topo_->edge_count : static_cast<EdgeId>(edges_.size());
-  }
+  EdgeId edge_count() const { return static_cast<EdgeId>(ends_.size()); }
 
   /// The tile template this graph synthesizes its adjacency from, or
   /// nullptr for a materialized graph. The Dijkstra engine keys its
@@ -120,7 +118,8 @@ class Graph {
 
   /// Raw state arrays for the tiled traversal backend (dijkstra.cpp):
   /// weights are true per-edge weights; activity is one byte per element.
-  /// Valid only while tiled(); pointers are invalidated by materialization.
+  /// Valid only while tiled(); pointers are invalidated by any structural
+  /// mutation.
   struct TiledView {
     const TiledTopology* topo = nullptr;
     const Weight* weight = nullptr;
@@ -129,30 +128,27 @@ class Graph {
   };
   TiledView tiled_view() const {
     FPR_CHECK(topo_ != nullptr, "tiled_view() on a materialized graph");
-    return TiledView{topo_.get(), tiled_weight_.data(), tiled_edge_active_.data(),
-                     node_active_.data()};
+    return TiledView{topo_.get(), weight_.data(), active_.data(), node_active_.data()};
   }
 
-  /// Edge record. Returned by value: a tiled graph synthesizes it (u is
-  /// always the smaller endpoint, matching every device builder's emission
-  /// order); a materialized graph reads its edge table.
+  /// Edge record, returned by value. `u` and `v` are add_edge's arguments in
+  /// order; on a tiled graph `u` is the smaller endpoint (every device
+  /// builder's emission order).
   Edge edge(EdgeId e) const {
-    if (topo_ != nullptr) return tiled_edge(e);
-    return edges_[static_cast<std::size_t>(e)];
+    const EdgeEnds& p = ends_of(e);
+    const auto i = static_cast<std::size_t>(e);
+    return Edge{p.u, p.v, weight_[i], active_[i] != 0};
   }
 
-  Weight edge_weight(EdgeId e) const {
-    return topo_ != nullptr ? tiled_weight_[static_cast<std::size_t>(e)]
-                            : edges_[static_cast<std::size_t>(e)].weight;
-  }
+  Weight edge_weight(EdgeId e) const { return weight_[static_cast<std::size_t>(e)]; }
 
   /// The endpoint of `e` that is not `from`.
   NodeId other_end(EdgeId e, NodeId from) const {
-    const Edge ed = edge(e);
-    FPR_CHECK(ed.u == from || ed.v == from,
-              "other_end: node " << from << " is not an endpoint of edge " << e << " {" << ed.u
-                                 << ", " << ed.v << "}");
-    return ed.u == from ? ed.v : ed.u;
+    const EdgeEnds& p = ends_of(e);
+    FPR_CHECK(p.u == from || p.v == from,
+              "other_end: node " << from << " is not an endpoint of edge " << e << " {" << p.u
+                                 << ", " << p.v << "}");
+    return p.u == from ? p.v : p.u;
   }
 
   /// All edges ever attached to `v` (including inactive ones; filter with
@@ -166,16 +162,12 @@ class Graph {
   }
 
   bool node_active(NodeId v) const { return node_active_[static_cast<std::size_t>(v)]; }
-  bool edge_active(EdgeId e) const {
-    return topo_ != nullptr ? tiled_edge_active_[static_cast<std::size_t>(e)] != 0
-                            : edges_[static_cast<std::size_t>(e)].active;
-  }
+  bool edge_active(EdgeId e) const { return active_[static_cast<std::size_t>(e)] != 0; }
 
   /// An edge is traversable iff it and both endpoints are active.
   bool edge_usable(EdgeId e) const {
-    if (topo_ != nullptr) return tiled_edge_usable(e);
-    const Edge& ed = edges_[static_cast<std::size_t>(e)];
-    return ed.active && node_active(ed.u) && node_active(ed.v);
+    const auto i = static_cast<std::size_t>(e);
+    return active_[i] != 0 && node_active(ends_[i].u) && node_active(ends_[i].v);
   }
 
   void set_edge_weight(EdgeId e, Weight w);
@@ -201,20 +193,6 @@ class Graph {
   /// and keeps it weight-synced afterwards; the tiled Dijkstra backend
   /// never needs it, so large tiled devices typically never pay for one.
   const CsrAdjacency& csr() const;
-
-  /// Per-edge traversal cost, maintained in place on every mutation:
-  /// weight(e) while edge_usable(e), kInfiniteWeight otherwise. Relaxing
-  /// through this array folds the usability test into the ordinary
-  /// `dist + w < best` comparison (inf never improves a distance), which is
-  /// what keeps the materialized Dijkstra inner loop branch-light. Only
-  /// materialized graphs carry this array; the tiled backend reads activity
-  /// bytes instead.
-  std::span<const Weight> traversal_weights() const {
-    FPR_CHECK(topo_ == nullptr,
-              "traversal_weights() on a tiled graph — read csr().weight or the tiled_view() "
-              "arrays instead");
-    return traversal_weight_;
-  }
 
   /// Number of currently usable edges. O(1): maintained as a running
   /// counter by every mutator.
@@ -249,15 +227,41 @@ class Graph {
   void clear_touched();
 
  private:
+  /// An edge's endpoints, in add_edge argument order (lower id first on a
+  /// tiled graph).
+  struct EdgeEnds {
+    NodeId u = kInvalidNode;
+    NodeId v = kInvalidNode;
+  };
+
+  const EdgeEnds& ends_of(EdgeId e) const {
+    FPR_CHECK(e >= 0 && e < edge_count(),
+              "edge " << e << " outside edge range [0, " << edge_count() << ")");
+    return ends_[static_cast<std::size_t>(e)];
+  }
+
   void copy_logical_state(const Graph& other);
-  /// Converts a tiled graph to the materialized representation in place,
-  /// preserving every id, order and state bit. Called by the structural
-  /// mutators; O(V + E).
+  /// Converts a tiled graph to the materialized representation in place by
+  /// building the per-node incident lists; every id, order and state bit is
+  /// preserved. Called by the structural mutators; O(V + E).
   void materialize();
-  /// Transitions edge `e` into/out of the usable set, updating the running
-  /// counters and flat traversal weight. `usable_now` must be the post-
-  /// mutation usability. Materialized representation only.
-  void sync_edge_usability(EdgeId e, bool usable_now);
+  /// Calls `fn(neighbor, edge)` for every edge attached to `v`, in ascending
+  /// edge order (template slot order, or incident-list order).
+  template <typename Fn>
+  void for_each_incident(NodeId v, Fn&& fn) const {
+    if (topo_ != nullptr) {
+      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
+      return;
+    }
+    for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
+      const EdgeEnds& p = ends_[static_cast<std::size_t>(e)];
+      fn(p.u == v ? p.v : p.u, e);
+    }
+  }
+  /// Moves edge `e` into/out of the usable set: running counters plus the
+  /// CSR weight stream.
+  void enter_usable(EdgeId e);
+  void leave_usable(EdgeId e);
   /// Mirrors a traversal-weight change into the CSR snapshot's per-slot
   /// weight stream, when a snapshot is currently built. Writes csr_ without
   /// csr_mu_: mutators run under the documented writer-exclusivity contract
@@ -265,8 +269,7 @@ class Graph {
   void sync_csr_weight(EdgeId e, Weight w) FPR_NO_THREAD_SAFETY_ANALYSIS;
   /// Rebuilds the CSR snapshot under csr_mu_ if it is stale at `want`.
   void rebuild_csr(std::uint64_t want) const FPR_EXCLUDES(csr_mu_);
-  void rebuild_csr_materialized() const FPR_REQUIRES(csr_mu_);
-  void rebuild_csr_tiled() const FPR_REQUIRES(csr_mu_);
+  void build_csr() const FPR_REQUIRES(csr_mu_);
   /// Reads csr_ without csr_mu_ — safe once csr_structural_ was
   /// acquire-loaded equal to structural_revision(): the builder
   /// release-stores that value only after the snapshot is complete, and a
@@ -274,12 +277,6 @@ class Graph {
   /// which guarded_by cannot express).
   const CsrAdjacency& published_csr() const FPR_NO_THREAD_SAFETY_ANALYSIS { return csr_; }
 
-  // Tiled-representation helpers (topo_ != nullptr).
-  Edge tiled_edge(EdgeId e) const;
-  /// The endpoint of `e` other than its recorded smaller endpoint, found by
-  /// scanning that endpoint's synthesized pattern (O(degree)).
-  NodeId tiled_upper_end(EdgeId e) const;
-  bool tiled_edge_usable(EdgeId e) const;
   std::span<const EdgeId> tiled_incident_edges(NodeId v) const;
 
   void mark_node_touched(NodeId v) {
@@ -295,28 +292,23 @@ class Graph {
     }
   }
 
-  // Materialized representation.
-  std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> incident_;
-  std::vector<Weight> traversal_weight_;  // weight or kInfiniteWeight, per edge
-
-  // Tiled representation: shared immutable template + per-element mutable
-  // state only. tiled_lower_end_ caches each edge's smaller endpoint so
-  // edge decode is O(degree of one endpoint) instead of a search.
-  std::shared_ptr<const TiledTopology> topo_;
-  std::vector<Weight> tiled_weight_;       // true weight per edge
-  std::vector<char> tiled_edge_active_;    // 1 byte per edge
-  std::vector<NodeId> tiled_lower_end_;    // smaller endpoint per edge
-
-  // Shared between representations.
+  // Per-edge store, shared by both representations.
+  std::vector<EdgeEnds> ends_;
+  std::vector<Weight> weight_;  // true weight, whether or not usable
+  std::vector<char> active_;    // 1 byte per edge
   std::vector<char> node_active_;
+
+  // Adjacency: the template (tiled), or per-node incident lists in edge
+  // insertion order (materialized; empty while tiled).
+  std::shared_ptr<const TiledTopology> topo_;
+  std::vector<std::vector<EdgeId>> incident_;
+
   std::uint64_t revision_ = 0;
   std::uint64_t structural_revision_ = 0;
 
   // Running aggregates over the usable-edge set (kept exact by the
-  // mutators; the tiled mutators update them in the same ascending-edge
-  // order the materialized ones do, so the floating-point trajectories
-  // match bit for bit).
+  // mutators, which visit edges in ascending id order in both
+  // representations, so the floating-point trajectories match bit for bit).
   EdgeId usable_edges_ = 0;
   Weight usable_weight_sum_ = 0;
 

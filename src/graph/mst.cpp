@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/union_find.hpp"
 
@@ -25,16 +26,19 @@ std::vector<EdgeId> kruskal_impl(const Graph& g, std::vector<EdgeId> pool) {
     auto [it, inserted] = compact.emplace(v, static_cast<std::int32_t>(compact.size()));
     return it->second;
   };
+  std::vector<std::pair<std::int32_t, std::int32_t>> ends;
+  ends.reserve(pool.size());
   for (const EdgeId e : pool) {
-    id_of(g.edge(e).u);
-    id_of(g.edge(e).v);
+    const Graph::Edge ed = g.edge(e);
+    const std::int32_t a = id_of(ed.u);
+    ends.emplace_back(a, id_of(ed.v));
   }
 
   UnionFind uf(static_cast<std::int32_t>(compact.size()));
   std::vector<EdgeId> mst;
   mst.reserve(compact.size());
-  for (const EdgeId e : pool) {
-    if (uf.unite(id_of(g.edge(e).u), id_of(g.edge(e).v))) mst.push_back(e);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (uf.unite(ends[i].first, ends[i].second)) mst.push_back(pool[i]);
   }
   return mst;
 }

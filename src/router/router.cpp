@@ -49,7 +49,8 @@ int commit_net(Device& device, const std::vector<EdgeId>& edges, double congesti
   Graph& g = device.graph();
   std::vector<NodeId> wires;
   for (const EdgeId e : edges) {
-    for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
+    const Graph::Edge ed = g.edge(e);
+    for (const NodeId v : {ed.u, ed.v}) {
       if (device.is_wire(v) && g.node_active(v)) {
         wires.push_back(v);
         g.remove_node(v);
@@ -329,7 +330,8 @@ void include_commit_box(const Device& device, const Graph& g, const CommitLog& l
     box.include(t.x, t.y);
   }
   for (const EdgeId e : log.penalized) {
-    for (const NodeId v : {g.edge(e).u, g.edge(e).v}) {
+    const Graph::Edge ed = g.edge(e);
+    for (const NodeId v : {ed.u, ed.v}) {
       const Device::TilePos t = device.node_tile(v);
       box.include(t.x, t.y);
     }

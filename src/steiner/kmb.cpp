@@ -30,13 +30,14 @@ std::vector<EdgeId> max_spanning_subgraph(const Graph& g, std::span<const EdgeId
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
   std::stable_sort(pool.begin(), pool.end(), [&](EdgeId a, EdgeId b) {
-    return weight_lt(g.edge(b).weight, g.edge(a).weight);
+    return weight_lt(g.edge_weight(b), g.edge_weight(a));
   });
   UnionFind uf(g.node_count());
   std::vector<EdgeId> kept;
   for (const EdgeId e : pool) {
     if (!g.edge_usable(e)) continue;
-    if (uf.unite(g.edge(e).u, g.edge(e).v)) kept.push_back(e);
+    const Graph::Edge ed = g.edge(e);
+    if (uf.unite(ed.u, ed.v)) kept.push_back(e);
   }
   return kept;
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fpga/device.hpp"
 #include "graph/graph.hpp"
 #include "graph/grid.hpp"
@@ -40,6 +42,28 @@ TEST(ContractTest, PassingCheckEvaluatesConditionOnce) {
   EXPECT_EQ(calls, 1);
 }
 
+/// Out-of-range element ids are rejected by every accessor and mutator that
+/// indexes a per-element array, on either graph representation.
+void expect_rejects_out_of_range_ids(Graph& g) {
+  const EdgeId m = g.edge_count();
+  const NodeId n = g.node_count();
+  const std::uint64_t revision = g.revision();
+  const EdgeId usable = g.active_edge_count();
+  for (const EdgeId e : {m, EdgeId{-1}}) {
+    EXPECT_THROW(g.edge(e), ContractViolation) << "edge " << e;
+    EXPECT_THROW(g.remove_edge(e), ContractViolation) << "edge " << e;
+    EXPECT_THROW(g.restore_edge(e), ContractViolation) << "edge " << e;
+    EXPECT_THROW(g.set_edge_weight(e, 1.0), ContractViolation) << "edge " << e;
+    EXPECT_THROW(g.add_edge_weight(e, 1.0), ContractViolation) << "edge " << e;
+  }
+  for (const NodeId v : {n, NodeId{-1}}) {
+    EXPECT_THROW(g.remove_node(v), ContractViolation) << "node " << v;
+    EXPECT_THROW(g.restore_node(v), ContractViolation) << "node " << v;
+  }
+  EXPECT_EQ(g.revision(), revision);
+  EXPECT_EQ(g.active_edge_count(), usable);
+}
+
 TEST(ContractTest, GraphRejectsMisuse) {
   Graph g(3);
   g.add_edge(0, 1, 1.0);
@@ -52,6 +76,10 @@ TEST(ContractTest, GraphRejectsMisuse) {
   EXPECT_THROW(g.set_edge_weight(0, -1.0), ContractViolation);
   EXPECT_THROW(g.add_edge_weight(0, -2.0), ContractViolation);  // would go negative
   EXPECT_THROW(g.other_end(0, 2), ContractViolation);  // 2 not an endpoint of edge 0
+  expect_rejects_out_of_range_ids(g);
+  Device device(ArchSpec::xc4000(7, 7, 4));  // stamped from the tile template
+  ASSERT_TRUE(device.graph().tiled());
+  expect_rejects_out_of_range_ids(device.graph());
   // The graph survives rejected calls: state is unchanged and usable.
   EXPECT_EQ(g.node_count(), 3);
   EXPECT_EQ(g.edge_count(), 1);

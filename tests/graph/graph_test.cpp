@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <random>
+#include <utility>
+#include <vector>
 
 namespace fpr {
 namespace {
@@ -233,32 +237,108 @@ TEST(GraphTest, CsrSnapshotMatchesIncidentListsAndSurvivesWeightMutation) {
       EXPECT_EQ(csr.neighbor[begin + i], g.other_end(inc[i], v));
     }
   }
-  // Weight bumps and removals must not rebuild the snapshot; adding an edge
-  // must.
+  // The traversal weight of edge e, read from both of its CSR slots.
+  const auto slot_weight = [&](EdgeId e) {
+    const CsrAdjacency& c = g.csr();
+    const Weight a = c.weight[static_cast<std::size_t>(c.slot[static_cast<std::size_t>(e) * 2])];
+    const Weight b =
+        c.weight[static_cast<std::size_t>(c.slot[static_cast<std::size_t>(e) * 2 + 1])];
+    EXPECT_EQ(a, b) << "edge " << e;
+    return a;
+  };
+  // Weight and usability mutations patch the snapshot in place: an unusable
+  // edge reads kInfiniteWeight, and a weight set while unusable shows up on
+  // restore.
+  EXPECT_DOUBLE_EQ(slot_weight(0), 1.0);
+  g.set_edge_weight(0, 2.5);
+  EXPECT_DOUBLE_EQ(slot_weight(0), 2.5);
+  g.remove_node(0);
+  EXPECT_FALSE(g.edge_usable(0));
+  EXPECT_FALSE(g.edge_usable(3));
+  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
+  EXPECT_EQ(slot_weight(3), kInfiniteWeight);
+  g.restore_node(0);
+  EXPECT_TRUE(g.edge_usable(0));
+  EXPECT_DOUBLE_EQ(slot_weight(3), 4.0);
+  g.add_edge_weight(0, 0.5);
+  EXPECT_DOUBLE_EQ(slot_weight(0), 3.0);
+  g.remove_edge(0);
+  EXPECT_FALSE(g.edge_usable(0));
+  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
+  g.set_edge_weight(0, 7.0);  // weight mutation while unusable
+  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
+  g.restore_edge(0);
+  EXPECT_TRUE(g.edge_usable(0));
+  EXPECT_DOUBLE_EQ(slot_weight(0), 7.0);
   g.set_edge_weight(0, 9);
   g.remove_node(2);
+  // None of that rebuilt the snapshot; adding an edge must.
   EXPECT_EQ(&g.csr(), built);
   const auto id_before = g.csr().edge_id;
   g.add_edge(1, 3, 1);
   EXPECT_NE(g.csr().edge_id, id_before);
   EXPECT_EQ(g.csr().edge_id.size(), id_before.size() + 2);
+  // The rebuilt snapshot carries the current usability.
+  EXPECT_EQ(slot_weight(1), kInfiniteWeight);
+  EXPECT_DOUBLE_EQ(slot_weight(0), 9.0);
 }
 
-TEST(GraphTest, TraversalWeightsTrackUsability) {
-  Graph g(3);
-  const EdgeId e = g.add_edge(0, 1, 2.5);
-  g.add_edge(1, 2, 1.0);
-  EXPECT_DOUBLE_EQ(g.traversal_weights()[static_cast<std::size_t>(e)], 2.5);
-  g.remove_node(0);
-  EXPECT_EQ(g.traversal_weights()[static_cast<std::size_t>(e)], kInfiniteWeight);
-  g.restore_node(0);
-  g.add_edge_weight(e, 0.5);
-  EXPECT_DOUBLE_EQ(g.traversal_weights()[static_cast<std::size_t>(e)], 3.0);
-  g.remove_edge(e);
-  EXPECT_EQ(g.traversal_weights()[static_cast<std::size_t>(e)], kInfiniteWeight);
-  g.set_edge_weight(e, 7.0);  // weight mutation while unusable
-  g.restore_edge(e);
-  EXPECT_DOUBLE_EQ(g.traversal_weights()[static_cast<std::size_t>(e)], 7.0);
+/// A one-cell template whose `tracks` give every node its own pattern, so
+/// each node's slot list is spelled out directly as (neighbor, edge) pairs.
+std::shared_ptr<TiledTopology> per_node_topology(
+    const std::vector<std::vector<std::pair<NodeId, EdgeId>>>& adjacency, EdgeId edge_count) {
+  auto topo = std::make_shared<TiledTopology>();
+  TiledRole role;
+  role.tracks = static_cast<std::int32_t>(adjacency.size());
+  role.xdim = 1;
+  role.ydim = 1;
+  role.xclasses = 1;
+  role.yclasses = 1;
+  for (const auto& slots : adjacency) {
+    role.pattern_first.push_back(static_cast<std::uint32_t>(topo->slots.size()));
+    role.pattern_count.push_back(static_cast<std::uint32_t>(slots.size()));
+    for (const auto& [nbr, e] : slots) {
+      TiledSlot slot;
+      slot.nbr_base = nbr;
+      slot.edge_base = e;
+      topo->slots.push_back(slot);
+    }
+  }
+  topo->roles.push_back(role);
+  topo->node_count = role.count();
+  topo->edge_count = edge_count;
+  return topo;
+}
+
+TEST(GraphTest, FromTiledStoresBothEndpoints) {
+  // Path 0 - 1 - 2 with a chord 0 - 2.
+  const Graph g = Graph::from_tiled(
+      per_node_topology({{{1, 0}, {2, 1}}, {{0, 0}, {2, 2}}, {{0, 1}, {1, 2}}}, 3));
+  ASSERT_TRUE(g.tiled());
+  const NodeId want[3][2] = {{0, 1}, {0, 2}, {1, 2}};
+  for (EdgeId e = 0; e < 3; ++e) {
+    EXPECT_EQ(g.edge(e).u, want[e][0]) << "edge " << e;
+    EXPECT_EQ(g.edge(e).v, want[e][1]) << "edge " << e;
+    EXPECT_EQ(g.other_end(e, want[e][0]), want[e][1]);
+    EXPECT_TRUE(g.edge_usable(e));
+  }
+  EXPECT_EQ(g.active_edge_count(), 3);
+}
+
+TEST(GraphTest, FromTiledRejectsAnEdgeEmittedTwiceByAnUpperEndpoint) {
+  // Edges {0,1} and {0,2}: node 2 emits edge 0 instead of edge 1, so edge 0
+  // has two upper emitters and edge 1 none — yet the slot total is still
+  // exactly two per edge.
+  EXPECT_THROW(
+      Graph::from_tiled(per_node_topology({{{1, 0}, {2, 1}}, {{0, 0}}, {{0, 0}}}, 2)),
+      ContractViolation);
+  // An edge whose upper endpoint never emits it is rejected too.
+  EXPECT_THROW(Graph::from_tiled(per_node_topology({{{1, 0}, {2, 1}}, {{0, 0}}, {}}, 2)),
+               ContractViolation);
+  // So is an upper emission that names a different lower endpoint.
+  EXPECT_THROW(
+      Graph::from_tiled(per_node_topology({{{1, 0}}, {{0, 0}, {2, 1}}, {{0, 1}, {0, 0}}}, 2)),
+      ContractViolation);
 }
 
 TEST(GraphTest, CopyAndMoveKeepCountersAndRebuildCsr) {
