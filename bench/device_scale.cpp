@@ -114,11 +114,9 @@ CaseResult run_case(bool tiled, int n) {
   r.nodes = device.graph().node_count();
   r.edges = device.graph().edge_count();
 
-  RouterOptions options;
-  options.threads = 1;  // one case per child; keep the child single-threaded
   const Circuit circuit = scale_circuit(n);
   const bench::Stopwatch route_watch;
-  const RoutingResult routed = route_circuit(device, circuit, options);
+  const RoutingResult routed = route_circuit(device, circuit, RouterOptions{});
   r.route_s = route_watch.seconds();
   r.digest = route_digest(routed);
   for (const NetRouteResult& net : routed.nets) r.routed_nets += net.routed() ? 1 : 0;

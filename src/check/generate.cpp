@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <sstream>
 
 #include "graph/grid.hpp"
@@ -34,12 +35,26 @@ std::vector<std::pair<std::string, std::string>> tokenize(const std::string& lin
   return out;
 }
 
-std::vector<NodeId> parse_id_list(const std::string& text) {
+/// Parses all of `text` as a T into `out`. False, leaving `out` alone, when
+/// the text is not a number, has trailing junk, or is out of T's range.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
+
+/// Comma-separated NodeIds; empty items are skipped.
+std::optional<std::vector<NodeId>> parse_id_list(const std::string& text) {
   std::vector<NodeId> out;
   std::istringstream is(text);
   std::string item;
   while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<NodeId>(std::stol(item)));
+    if (item.empty()) continue;
+    if (!parse_number(item, out.emplace_back())) return std::nullopt;
   }
   return out;
 }
@@ -115,24 +130,29 @@ std::optional<TreeCase> TreeCase::parse(const std::string& line) {
     if (key == "substrate") {
       c.substrate = value == "grid" ? Substrate::kGrid : Substrate::kRandomGraph;
     } else if (key == "graph_seed") {
-      c.graph_seed = std::stoull(value);
+      if (!parse_number(value, c.graph_seed)) return std::nullopt;
     } else if (key == "nodes") {
-      c.nodes = std::stoi(value);
+      if (!parse_number(value, c.nodes)) return std::nullopt;
     } else if (key == "extra") {
-      c.extra_edges = std::stoi(value);
+      if (!parse_number(value, c.extra_edges)) return std::nullopt;
     } else if (key == "grid") {
       const auto x = value.find('x');
       if (x == std::string::npos) return std::nullopt;
-      c.grid_width = std::stoi(value.substr(0, x));
-      c.grid_height = std::stoi(value.substr(x + 1));
+      const std::string_view text = value;
+      if (!parse_number(text.substr(0, x), c.grid_width) ||
+          !parse_number(text.substr(x + 1), c.grid_height)) {
+        return std::nullopt;
+      }
     } else if (key == "max_weight") {
-      c.max_weight = std::stoi(value);
+      if (!parse_number(value, c.max_weight)) return std::nullopt;
     } else if (key == "algo") {
       const auto a = algorithm_from_name(value);
       if (!a) return std::nullopt;
       c.algorithm = *a;
     } else if (key == "terminals") {
-      c.terminals = parse_id_list(value);
+      auto ids = parse_id_list(value);
+      if (!ids) return std::nullopt;
+      c.terminals = std::move(*ids);
     }
   }
   if (c.terminals.empty() || c.node_count() <= 0) return std::nullopt;
@@ -166,7 +186,6 @@ RouterOptions CircuitCase::router_options() const {
   // is reported as a (valid) failure outcome, which the oracle still checks.
   o.max_passes = 8;
   o.node_budget = node_budget;
-  o.threads = threads;
   if (negotiated) {
     o.mode = RouterMode::kNegotiated;
     // Negotiated mode routes whole nets only; a parsed line carrying both
@@ -184,7 +203,6 @@ std::string CircuitCase::describe() const {
      << " rows=" << rows << " cols=" << cols << " width=" << width << " nets=" << nets_2_3
      << "," << nets_4_10 << "," << nets_over_10 << " synth_seed=" << synth_seed
      << " algo=" << algorithm_name(algorithm) << " decompose=" << (decompose_two_pin ? 1 : 0);
-  if (threads != 1) os << " threads=" << threads;
   // Non-default fields are emitted only when set so historical repro lines
   // round-trip byte-identically. The fault/budget keys were parsed but
   // never emitted before this block existed — a fault-oracle repro line
@@ -215,19 +233,19 @@ std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
     if (key == "family") {
       c.family = value == "xc3000" ? Family::kXc3000 : Family::kXc4000;
     } else if (key == "rows") {
-      c.rows = std::stoi(value);
+      if (!parse_number(value, c.rows)) return std::nullopt;
     } else if (key == "cols") {
-      c.cols = std::stoi(value);
+      if (!parse_number(value, c.cols)) return std::nullopt;
     } else if (key == "width") {
-      c.width = std::stoi(value);
+      if (!parse_number(value, c.width)) return std::nullopt;
     } else if (key == "nets") {
       const auto counts = parse_id_list(value);
-      if (counts.size() != 3) return std::nullopt;
-      c.nets_2_3 = counts[0];
-      c.nets_4_10 = counts[1];
-      c.nets_over_10 = counts[2];
+      if (!counts || counts->size() != 3) return std::nullopt;
+      c.nets_2_3 = (*counts)[0];
+      c.nets_4_10 = (*counts)[1];
+      c.nets_over_10 = (*counts)[2];
     } else if (key == "synth_seed") {
-      c.synth_seed = std::stoull(value);
+      if (!parse_number(value, c.synth_seed)) return std::nullopt;
     } else if (key == "algo") {
       const auto a = algorithm_from_name(value);
       if (!a) return std::nullopt;
@@ -235,34 +253,34 @@ std::optional<CircuitCase> CircuitCase::parse(const std::string& line) {
     } else if (key == "decompose") {
       c.decompose_two_pin = value == "1";
     } else if (key == "fault_seed") {
-      c.faults.seed = std::stoull(value);
+      if (!parse_number(value, c.faults.seed)) return std::nullopt;
     } else if (key == "fault_wires") {
-      c.faults.wire_permille = std::stoi(value);
+      if (!parse_number(value, c.faults.wire_permille)) return std::nullopt;
     } else if (key == "fault_switches") {
-      c.faults.switch_permille = std::stoi(value);
+      if (!parse_number(value, c.faults.switch_permille)) return std::nullopt;
     } else if (key == "fault_pins") {
-      c.faults.pin_permille = std::stoi(value);
+      if (!parse_number(value, c.faults.pin_permille)) return std::nullopt;
     } else if (key == "fault_clusters") {
-      c.faults.clusters = std::stoi(value);
+      if (!parse_number(value, c.faults.clusters)) return std::nullopt;
     } else if (key == "fault_radius") {
-      c.faults.cluster_radius = std::stoi(value);
+      if (!parse_number(value, c.faults.cluster_radius)) return std::nullopt;
     } else if (key == "budget") {
-      c.node_budget = std::stoll(value);
-    } else if (key == "threads") {
-      c.threads = std::stoi(value);
+      if (!parse_number(value, c.node_budget)) return std::nullopt;
     } else if (key == "mode") {
       if (value != "negotiated" && value != "paper") return std::nullopt;
       c.negotiated = value == "negotiated";
     } else if (key == "repair_events") {
-      c.repair_events = std::stoi(value);
+      if (!parse_number(value, c.repair_events)) return std::nullopt;
     } else if (key == "repair_seed") {
-      c.repair_seed = std::stoull(value);
+      if (!parse_number(value, c.repair_seed)) return std::nullopt;
     } else if (key == "repair_budget") {
-      c.repair_budget = std::stoll(value);
+      if (!parse_number(value, c.repair_budget)) return std::nullopt;
     }
+    // Unknown keys are ignored, so lines written by older builds (e.g. with
+    // the retired "threads=" key) still parse.
   }
   if (c.rows < 1 || c.cols < 1 || c.width < 1) return std::nullopt;
-  if (!c.faults.valid() || c.node_budget < 0 || c.threads < 0) return std::nullopt;
+  if (!c.faults.valid() || c.node_budget < 0) return std::nullopt;
   if (c.repair_events < 0 || c.repair_budget < 0) return std::nullopt;
   return c;
 }
@@ -305,16 +323,14 @@ CircuitCase generate_circuit_case(std::uint64_t case_seed) {
   c.synth_seed = rng.below(0xffffffffull);
   c.algorithm = table1_algorithms()[rng.below(table1_algorithms().size())];
   c.decompose_two_pin = rng.below(8) == 0;
-  // A quarter of cases route through the net-parallel wave scheduler so the
-  // feasibility oracle continuously cross-checks its serial-equivalence
-  // contract. Appended last: earlier draws (and thus every pre-existing
-  // field of a given seed) are unchanged.
-  c.threads = rng.below(4) == 0 ? rng.range(2, 4) : 1;
+  // The retired thread-count draw, discarded: keeps every later field of
+  // every seed unchanged.
+  if (rng.below(4) == 0) rng.range(2, 4);
   // One case in eight is promoted to a large array (>= the tile-template
   // sampling floor of 7x7) so every oracle continuously cross-checks the
   // stamped builder, not just the legacy path the small grids take. Width
   // drops and net counts stay small to keep the case budget-friendly; the
-  // override redraws are appended last like `threads` above.
+  // override redraws are appended last so earlier fields never move.
   if (rng.below(8) == 0) {
     c.rows = rng.range(12, 16);
     c.cols = rng.range(12, 16);

@@ -11,10 +11,8 @@ void Counters::reset() {
   check_violations.store(0, std::memory_order_relaxed);
   fuzz_cases.store(0, std::memory_order_relaxed);
   shrink_steps.store(0, std::memory_order_relaxed);
-  parallel_waves.store(0, std::memory_order_relaxed);
   nets_speculated.store(0, std::memory_order_relaxed);
   nets_spec_accepted.store(0, std::memory_order_relaxed);
-  nets_spec_recomputed.store(0, std::memory_order_relaxed);
   negotiate_runs.store(0, std::memory_order_relaxed);
   negotiate_passes.store(0, std::memory_order_relaxed);
   pattern_attempts.store(0, std::memory_order_relaxed);

@@ -188,9 +188,9 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
 }
 
 std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
-  // Thread-local scratch: concurrent speculative routes synthesize incident
-  // lists on the shared device graph, each thread into its own buffer. The
-  // span is valid until this thread's next call (documented in graph.hpp).
+  // Thread-local scratch: width-search probes and sweep cells route on
+  // different threads, each into its own buffer. The span is valid until
+  // this thread's next call (documented in graph.hpp).
   // fpr-lint: allow(global-state) per-thread scratch buffer, overwritten on every call; lifetime contract documented in graph.hpp
   static thread_local std::vector<EdgeId> scratch;
   scratch.clear();

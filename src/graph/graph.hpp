@@ -277,6 +277,8 @@ class Graph {
   /// which guarded_by cannot express).
   const CsrAdjacency& published_csr() const FPR_NO_THREAD_SAFETY_ANALYSIS { return csr_; }
 
+  /// incident_edges() for a tiled graph, synthesized into a per-thread
+  /// scratch buffer (width-search probes route on different threads).
   std::span<const EdgeId> tiled_incident_edges(NodeId v) const;
 
   void mark_node_touched(NodeId v) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <set>
+#include <string>
 
 #include "check/generate.hpp"
 #include "core/metrics.hpp"
@@ -46,6 +47,37 @@ TEST_F(ShrinkTest, CircuitCaseDescribeParseRoundTrip) {
     ASSERT_TRUE(parsed.has_value()) << c.describe();
     EXPECT_EQ(parsed->describe(), c.describe());
   }
+  // Lines written before the thread-count key was retired still parse; the
+  // key is dropped on the way back out.
+  const auto old_line = CircuitCase::parse(
+      "circuit family=xc4000 rows=4 cols=3 width=6 nets=5,1,0 synth_seed=12 algo=IKMB "
+      "decompose=0 threads=4 mode=negotiated");
+  ASSERT_TRUE(old_line.has_value());
+  EXPECT_EQ(old_line->describe(),
+            "circuit family=xc4000 rows=4 cols=3 width=6 nets=5,1,0 synth_seed=12 algo=IKMB "
+            "decompose=0 mode=negotiated");
+}
+
+TEST_F(ShrinkTest, MalformedNumbersAreRejectedNotThrown) {
+  // A hand-edited repro line must come back as nullopt: not a number, out
+  // of range, trailing junk, or a negative unsigned seed.
+  const std::string circuit = "circuit family=xc4000 rows=4 cols=4 width=6 ";
+  for (const char* bad :
+       {"rows=abc", "rows=99999999999", "rows=4x", "rows=", "synth_seed=-1",
+        "budget=99999999999999999999", "nets=5,x,0", "nets=5,99999999999,0",
+        "fault_wires=1e3", "repair_seed=0x10"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(CircuitCase::parse(circuit + bad).has_value());
+  }
+  const std::string tree = "tree substrate=grid graph_seed=3 grid=4x4 algo=KMB ";
+  for (const char* bad : {"terminals=0,abc", "terminals=0,99999999999", "grid=4xq",
+                          "grid=99999999999x4", "graph_seed=-3", "max_weight=7.5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(TreeCase::parse(tree + "terminals=0,5 " + bad).has_value());
+  }
+  // The well-formed base lines do parse.
+  EXPECT_TRUE(CircuitCase::parse(circuit + "rows=3").has_value());
+  EXPECT_TRUE(TreeCase::parse(tree + "terminals=0,5").has_value());
 }
 
 TEST_F(ShrinkTest, GeneratedTerminalsAreDistinctAndInRange) {

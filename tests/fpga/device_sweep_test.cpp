@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "fpga/device.hpp"
 #include "graph/dijkstra.hpp"
 
@@ -14,6 +16,13 @@ struct SweepCase {
   int rows, cols, width;
   bool xc3000;
 };
+
+// Names the case by its fields. Without it gtest prints the raw object
+// bytes, padding included, and the padding's stack residue leaks into the
+// ctest names.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << (c.xc3000 ? "xc3000_" : "xc4000_") << c.rows << "x" << c.cols << "_W" << c.width;
+}
 
 class DeviceSweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:

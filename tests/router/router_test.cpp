@@ -4,7 +4,11 @@
 
 #include <set>
 
+#include "check/oracles.hpp"
+#include "netlist/profiles.hpp"
+#include "netlist/synth.hpp"
 #include "router/baseline.hpp"
+#include "test_util.hpp"
 
 namespace fpr {
 namespace {
@@ -203,6 +207,71 @@ TEST(RouterTest, CongestionPenaltyRaisesRemainingWeights) {
   const RoutingResult r = route_circuit(device, c, options);
   ASSERT_TRUE(r.success);
   EXPECT_GT(device.graph().mean_active_edge_weight(), before);
+}
+
+// Feasibility-oracle replays of paper-mode routes over the scenarios that
+// stress the router loop: congestion with move-to-front (quadrants, the
+// smallest Table 2 and Table 3 circuits at their paper widths), installed
+// faults, a node budget that expires mid-circuit, and the decomposed
+// two-pin baseline.
+
+void expect_replays_clean(const ArchSpec& arch, const Circuit& circuit,
+                          const RouterOptions& options, const FaultSpec* faults = nullptr) {
+  Device device(arch);
+  if (faults != nullptr) device.install_faults(*faults);
+  const RoutingResult r = route_circuit(device, circuit, options);
+  const auto check = check::check_routing_feasibility(arch, circuit, r, options, faults);
+  EXPECT_TRUE(check.ok()) << check.message();
+}
+
+TEST(RouterReplayTest, QuadrantCircuit) {
+  RouterOptions options;
+  options.max_passes = 6;
+  expect_replays_clean(ArchSpec::xc4000(10, 10, 5), testing::quadrant_circuit(5), options);
+}
+
+TEST(RouterReplayTest, Table2Circuit) {
+  const CircuitProfile& profile = xc3000_profiles()[0];
+  ASSERT_EQ(profile.name, "busc");
+  RouterOptions options;
+  options.max_passes = 5;
+  expect_replays_clean(ArchSpec::xc3000(profile.rows, profile.cols, profile.paper_ikmb),
+                       synthesize_circuit(profile, 31), options);
+}
+
+TEST(RouterReplayTest, Table3Circuit) {
+  const CircuitProfile& profile = xc4000_profiles()[2];
+  ASSERT_EQ(profile.name, "term1");
+  RouterOptions options;
+  options.max_passes = 5;
+  expect_replays_clean(ArchSpec::xc4000(profile.rows, profile.cols, profile.paper_ikmb),
+                       synthesize_circuit(profile, 7), options);
+}
+
+TEST(RouterReplayTest, FaultedRouting) {
+  FaultSpec faults;
+  faults.seed = 21;
+  faults.wire_permille = 50;
+  faults.switch_permille = 40;
+  faults.pin_permille = 20;
+  RouterOptions options;
+  options.max_passes = 6;
+  expect_replays_clean(ArchSpec::xc4000(10, 10, 5), testing::quadrant_circuit(5), options,
+                       &faults);
+}
+
+TEST(RouterReplayTest, BudgetAbortedRouting) {
+  RouterOptions options;
+  options.max_passes = 4;
+  options.node_budget = 800;  // expires mid-circuit
+  expect_replays_clean(ArchSpec::xc4000(8, 8, 5), testing::quadrant_circuit(4), options);
+}
+
+TEST(RouterReplayTest, DecomposedMode) {
+  RouterOptions options;
+  options.max_passes = 4;
+  options.decompose_two_pin = true;
+  expect_replays_clean(ArchSpec::xc4000(8, 8, 6), testing::quadrant_circuit(4), options);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "graph/graph.hpp"
 #include "graph/grid.hpp"
 #include "graph/mst.hpp"
+#include "netlist/netlist.hpp"
 
 namespace fpr::testing {
 
@@ -96,6 +97,24 @@ inline Weight brute_force_gmst_cost(const Graph& g, const std::vector<NodeId>& n
     best = std::min(best, edge_set_cost(g, mst));
   }
   return best;
+}
+
+/// A 2n x 2n circuit whose short nets cluster in the four quadrants of the
+/// array: two- and three-pin nets along each quadrant's diagonals, so early
+/// nets leave congestion for later ones to route around.
+inline Circuit quadrant_circuit(int n) {
+  Circuit c;
+  c.name = "quadrants";
+  c.rows = c.cols = 2 * n;
+  for (int q = 0; q < 4; ++q) {
+    const int bx = (q % 2) * n;
+    const int by = (q / 2) * n;
+    for (int i = 0; i + 1 < n; ++i) {
+      c.nets.push_back({{bx + i, by + i}, {{bx + i + 1, by + i}, {bx + i, by + i + 1}}});
+      c.nets.push_back({{bx + n - 1 - i, by + i}, {{bx + n - 1 - i, by + i + 1}}});
+    }
+  }
+  return c;
 }
 
 }  // namespace fpr::testing
