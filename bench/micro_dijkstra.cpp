@@ -16,6 +16,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/table.hpp"
@@ -227,6 +228,8 @@ int main(int argc, char** argv) {
       .field("bench", "micro_dijkstra")
       .field("timestamp_utc", bench::iso_timestamp())
       .field("threads_available", default_thread_count())
+      .field("nproc", static_cast<long long>(std::thread::hardware_concurrency()))
+      .field("build_type", FPR_BUILD_TYPE)
       .field("min_seconds_per_measurement", min_seconds)
       .field("geomean_speedup", geomean)
       .field("cases", rows);

@@ -102,12 +102,9 @@ struct Inc {
   Weight w = 0;
 };
 
-void incident_of(const Graph& g, NodeId v, std::vector<Inc>& out) {
+void collect_incident(const Graph& g, NodeId v, std::vector<Inc>& out) {
   out.clear();
-  for (const EdgeId e : g.incident_edges(v)) {
-    const Graph::Edge ed = g.edge(e);
-    out.push_back({ed.u == v ? ed.v : ed.u, e, ed.weight});
-  }
+  g.for_each_incident(v, [&](NodeId nbr, EdgeId e) { out.push_back({nbr, e, g.edge_weight(e)}); });
 }
 
 std::shared_ptr<const TiledTopology> build_topology(const std::vector<RoleGeom>& geom,
@@ -153,7 +150,7 @@ bool matches_legacy(const TiledTopology& topo, const Graph& g) {
   std::vector<Inc> legacy;
   topo.for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
     if (!ok) return;
-    incident_of(g, v, legacy);
+    collect_incident(g, v, legacy);
     std::size_t i = 0;
     topo.apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot& s) {
       if (i >= legacy.size() || legacy[i].nbr != nbr || legacy[i].e != e ||
@@ -214,15 +211,15 @@ bool fit_sample(const std::vector<RoleGeom>& geom, const Graph& g, SampleFit& ou
         const AxisRep ax = axis_rep(rg.xdim, rg.xperiod, xc);
         const int ux1 = ax.c1 / rg.xperiod;
         for (int t = 0; t < rg.tracks; ++t, ++ci) {
-          incident_of(g, node_at(ax.c1, ay.c1, t), l00);
+          collect_incident(g, node_at(ax.c1, ay.c1, t), l00);
           const bool ix = ax.c2 >= 0;
           const bool iy = ay.c2 >= 0;
           if (ix) {
-            incident_of(g, node_at(ax.c2, ay.c1, t), lx);
+            collect_incident(g, node_at(ax.c2, ay.c1, t), lx);
             if (lx.size() != l00.size()) return false;
           }
           if (iy) {
-            incident_of(g, node_at(ax.c1, ay.c2, t), ly);
+            collect_incident(g, node_at(ax.c1, ay.c2, t), ly);
             if (ly.size() != l00.size()) return false;
           }
           auto& slots = classes[ci];

@@ -23,13 +23,13 @@ CongestionLayer::CongestionLayer(Graph& g, NodeId first_shared, int capacity)
 }
 
 void CongestionLayer::reprice(NodeId v) {
-  const std::span<const EdgeId> span = g_.incident_edges(v);
-  scratch_.assign(span.begin(), span.end());
-  for (const EdgeId e : scratch_) {
+  // The halves are summed in the edge's endpoint order, not walk order, so
+  // the rounding is the same from either end.
+  g_.for_each_incident(v, [&](NodeId, EdgeId e) {
     const Graph::Edge ed = g_.edge(e);
     const Weight w = base_[static_cast<std::size_t>(e)] + node_cost(ed.u) / 2 + node_cost(ed.v) / 2;
     if (w != g_.edge_weight(e)) g_.set_edge_weight(e, w);
-  }
+  });
 }
 
 void CongestionLayer::set_present_factor(double f) {

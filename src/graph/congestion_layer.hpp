@@ -16,8 +16,7 @@ namespace fpr {
 /// chronically contested nodes. This repo's routing graphs put capacity on
 /// wire NODES (capacity 1 — a physical wire segment carries one signal), so
 /// the layer keeps per-wire occupancy/history and folds the node costs into
-/// the graph's per-EDGE weight arrays, the only cost stream the Dijkstra
-/// backends read:
+/// the graph's per-EDGE weight store, the only cost Dijkstra reads:
 ///
 ///     weight(e) = base(e) + cost(u)/2 + cost(v)/2
 ///     cost(v)   = present(v) + history(v)          (0 for block nodes)
@@ -29,9 +28,9 @@ namespace fpr {
 /// path *terminating* there half — a harmless underestimate for sinks,
 /// which are block pins and carry no cost anyway. All constants in this
 /// repo are dyadic, so the repricing arithmetic is bit-exact on every
-/// platform and identical on the materialized and tiled graph backends
-/// (set_edge_weight keeps the CSR/tiled weight streams in sync and bumps
-/// the revision, so PathOracle invalidation stays correct for free).
+/// platform and identical on the materialized and tiled graphs
+/// (set_edge_weight writes the one per-edge weight store and bumps the
+/// revision, so PathOracle invalidation stays correct for free).
 ///
 /// Thread-safety: const accessors are safe to read concurrently; every
 /// mutator reprices through the graph and must be called from the owning
@@ -101,10 +100,7 @@ class CongestionLayer {
   }
 
   /// Rewrites the weights of every edge incident to `v` from the current
-  /// node costs. Copies the incident span first: on a tiled graph
-  /// incident_edges() returns a thread-local scratch span that the next
-  /// incident_edges() call (e.g. inside cost evaluation of the other
-  /// endpoint) would clobber.
+  /// node costs.
   void reprice(NodeId v);
 
   Graph& g_;
@@ -116,7 +112,6 @@ class CongestionLayer {
   std::vector<int> occ_;        // per shared node
   std::vector<double> history_; // per shared node
   std::vector<NodeId> touched_; // occupied since last begin_pass (dedup by occ 0->1)
-  std::vector<EdgeId> scratch_; // incident-span copy for reprice()
   long long total_occ_ = 0;
   int overflow_ = 0;
 };

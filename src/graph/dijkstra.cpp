@@ -56,14 +56,15 @@ void export_tree(const DijkstraArena& arena, NodeId node_count, bool stopped_ear
   }
 }
 
-/// Shared core: Dijkstra over the graph's CSR snapshot with this thread's
+/// Shared core: Dijkstra over Graph::for_each_incident with this thread's
 /// arena, optionally stopping once all `targets` are settled and the
 /// frontier has moved past the derived radius.
 ///
 /// Determinism contract (pinned by dijkstra_differential_test): settle
 /// order is the successive minimum of (tentative distance, node id), and
-/// within a settled node edges relax in CSR order == incident-list order,
-/// so dist/parent/parent_edge are bit-identical to the historical engine.
+/// within a settled node edges relax in ascending edge id (CSR slice order
+/// == template slot order), so dist/parent/parent_edge are bit-identical to
+/// the historical engine.
 /// One deliberate divergence: when the search exhausts the component, the
 /// result is always marked complete, where the old engine could still
 /// report stopped-early if a superseded heap entry above the limit survived
@@ -117,78 +118,39 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
   bool stopped_early = false;
   Weight stop_d = 0;
   NodeId stop_node = kInvalidNode;
-  // Settle loop, generic over the adjacency backend. Both backends relax a
-  // settled node's edges in ascending edge-id order (CSR slice order ==
-  // incident-list order == tiled slot order), so the two produce
-  // bit-identical trees.
-  const auto run = [&](auto&& relax_neighbors) {
-    while (!arena.heap_empty()) {
-      const NodeId u = arena.heap_min();
-      const Weight d = arena.heap_min_key();
-      if (d > limit) {
-        stopped_early = true;
-        stop_d = d;
-        stop_node = u;
-        break;
-      }
-      if (budget != nullptr && !budget->charge()) {
-        // Budget spent: u is NOT settled (its label may still be tentative).
-        // (d, u) is the heap minimum, so the derived settled set is exactly
-        // the nodes expanded before the abort — deterministic for a given
-        // budget regardless of platform or thread count.
-        stopped_early = true;
-        out.budget_aborted = true;
-        stop_d = d;
-        stop_node = u;
-        break;
-      }
-      arena.heap_pop_min();
-      if (pending_count > 0 && arena.pending(u)) {
-        arena.clear_pending(u);
-        if (--pending_count == 0) {
-          limit = radius_factor * d + slack;
-        }
-      }
-      relax_neighbors(u, d);
+  while (!arena.heap_empty()) {
+    const NodeId u = arena.heap_min();
+    const Weight d = arena.heap_min_key();
+    if (d > limit) {
+      stopped_early = true;
+      stop_d = d;
+      stop_node = u;
+      break;
     }
-  };
-  if (g.tiled()) {
-    // Tiled backend: adjacency is synthesized arithmetically from the tile
-    // template — no CSR snapshot is ever built, which is most of the tiled
-    // representation's memory win. Usability is an explicit activity test
-    // here (the materialized path folds it into an infinite weight).
-    const Graph::TiledView tv = g.tiled_view();
-    const TiledTopology* topo = tv.topo;
-    run([&](NodeId u, Weight d) {
-      topo->for_each_slot(u, [&](NodeId v, EdgeId e, const TiledSlot&) {
-        if (tv.edge_active[static_cast<std::size_t>(e)] == 0 ||
-            tv.node_active[static_cast<std::size_t>(v)] == 0) {
-          return;
-        }
-        const Weight nd = d + tv.weight[static_cast<std::size_t>(e)];
-        if (nd < arena.dist(v)) {
-          arena.relax(v, nd, u, e);
-        }
-      });
-    });
-  } else {
-    const CsrAdjacency& csr = g.csr();
-    const EdgeId* offsets = csr.offsets.data();
-    const NodeId* neighbor = csr.neighbor.data();
-    const EdgeId* edge_id = csr.edge_id.data();
-    const Weight* weight = csr.weight.data();
-    run([&](NodeId u, Weight d) {
-      const EdgeId begin = offsets[static_cast<std::size_t>(u)];
-      const EdgeId end = offsets[static_cast<std::size_t>(u) + 1];
-      for (EdgeId k = begin; k < end; ++k) {
-        const NodeId v = neighbor[static_cast<std::size_t>(k)];
-        // Unusable edges carry kInfiniteWeight here, so they can never pass
-        // the strict-improvement test — no explicit usability branch needed.
-        const Weight nd = d + weight[static_cast<std::size_t>(k)];
-        if (nd < arena.dist(v)) {
-          arena.relax(v, nd, u, edge_id[static_cast<std::size_t>(k)]);
-        }
+    if (budget != nullptr && !budget->charge()) {
+      // Budget spent: u is NOT settled (its label may still be tentative).
+      // (d, u) is the heap minimum, so the derived settled set is exactly
+      // the nodes expanded before the abort — deterministic for a given
+      // budget regardless of platform or thread count.
+      stopped_early = true;
+      out.budget_aborted = true;
+      stop_d = d;
+      stop_node = u;
+      break;
+    }
+    arena.heap_pop_min();
+    if (pending_count > 0 && arena.pending(u)) {
+      arena.clear_pending(u);
+      if (--pending_count == 0) {
+        limit = radius_factor * d + slack;
       }
+    }
+    // u is active (only active nodes are ever relaxed), so an edge is usable
+    // iff it and its far end are active.
+    g.for_each_incident(u, [&](NodeId v, EdgeId e) {
+      if (!g.edge_active(e) || !g.node_active(v)) return;
+      const Weight nd = d + g.edge_weight(e);
+      if (nd < arena.dist(v)) arena.relax(v, nd, u, e);
     });
   }
   export_tree(arena, node_count, stopped_early, stop_d, stop_node, out);

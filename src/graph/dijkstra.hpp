@@ -63,9 +63,11 @@ struct ShortestPathTree {
 
 /// Runs Dijkstra over the usable part of g. O((V + E) log V).
 ///
-/// The engine walks the graph's CSR adjacency snapshot (Graph::csr()) with
-/// a thread-local epoch-stamped arena and an indexed 4-ary heap with
-/// decrease-key — see DESIGN.md §8. Output is bit-identical to the
+/// The engine walks Graph::for_each_incident (template slots on a tiled
+/// graph, the topology-only CSR on a materialized one), reads weights and
+/// activity from the per-edge store, and keeps its labels in a thread-local
+/// epoch-stamped arena with an indexed 4-ary heap with decrease-key — see
+/// DESIGN.md §8. Output is bit-identical to the
 /// historical binary-heap engine (kept in graph/dijkstra_reference.hpp and
 /// pinned by tests/graph/dijkstra_differential_test.cpp).
 ShortestPathTree dijkstra(const Graph& g, NodeId source);

@@ -9,9 +9,11 @@
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 
-/// The pre-CSR Dijkstra engine, frozen verbatim: per-call vector
-/// initialization, lazy-deletion binary priority_queue of (dist, node)
-/// pairs, incident-list adjacency.
+/// The pre-CSR Dijkstra engine, frozen: per-call vector initialization,
+/// lazy-deletion binary priority_queue of (dist, node) pairs, and an
+/// edge_usable() test per edge. Its adjacency comes from
+/// Graph::for_each_incident, the walk the production engine uses too;
+/// graph_test checks that walk against a scan of the endpoint store.
 ///
 /// NOT used by production code. It exists so that
 ///  - the differential test (tests/graph/dijkstra_differential_test.cpp)
@@ -77,9 +79,8 @@ inline ShortestPathTree dijkstra_impl(const Graph& g, NodeId source,
         limit = radius_factor * d + slack;
       }
     }
-    for (const EdgeId e : g.incident_edges(u)) {
-      if (!g.edge_usable(e)) continue;
-      const NodeId v = g.other_end(e, u);
+    g.for_each_incident(u, [&](NodeId v, EdgeId e) {
+      if (!g.edge_usable(e)) return;
       const Weight nd = d + g.edge_weight(e);
       auto& dv = t.dist[static_cast<std::size_t>(v)];
       if (nd < dv) {
@@ -88,7 +89,7 @@ inline ShortestPathTree dijkstra_impl(const Graph& g, NodeId source,
         t.parent_edge[static_cast<std::size_t>(v)] = e;
         heap.emplace(nd, v);
       }
-    }
+    });
   }
   if (stopped_early) {
     t.settled = std::move(done);

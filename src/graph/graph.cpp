@@ -14,7 +14,6 @@ void Graph::copy_logical_state(const Graph& other) {
   active_ = other.active_;
   node_active_ = other.node_active_;
   topo_ = other.topo_;
-  incident_ = other.incident_;
   revision_ = other.revision_;
   structural_revision_ = other.structural_revision_;
   usable_edges_ = other.usable_edges_;
@@ -40,7 +39,6 @@ Graph::Graph(Graph&& other) noexcept
       active_(std::move(other.active_)),
       node_active_(std::move(other.node_active_)),
       topo_(std::move(other.topo_)),
-      incident_(std::move(other.incident_)),
       revision_(other.revision_),
       structural_revision_(other.structural_revision_),
       usable_edges_(other.usable_edges_),
@@ -60,7 +58,6 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     active_ = std::move(other.active_);
     node_active_ = std::move(other.node_active_);
     topo_ = std::move(other.topo_);
-    incident_ = std::move(other.incident_);
     revision_ = other.revision_;
     structural_revision_ = other.structural_revision_;
     usable_edges_ = other.usable_edges_;
@@ -136,24 +133,10 @@ Graph Graph::from_tiled(std::shared_ptr<const TiledTopology> topo) {
   return g;
 }
 
-void Graph::materialize() {
-  if (topo_ == nullptr) return;
-  incident_.assign(static_cast<std::size_t>(node_count()), {});
-  topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-    std::vector<EdgeId>& inc = incident_[static_cast<std::size_t>(v)];
-    inc.reserve(d.count);
-    topo_->apply(d, [&](NodeId, EdgeId e, const TiledSlot&) { inc.push_back(e); });
-  });
-  topo_ = nullptr;
-  // The logical graph is unchanged, so a published CSR snapshot (stamped
-  // from the same template) remains valid; revisions stay put.
-}
-
 NodeId Graph::add_nodes(NodeId count) {
   FPR_CHECK(count >= 0, "add_nodes count=" << count << " must be non-negative");
-  materialize();
+  topo_ = nullptr;  // every id and state bit stays; csr() serves adjacency from here on
   const NodeId first = node_count();
-  incident_.resize(incident_.size() + static_cast<std::size_t>(count));
   node_active_.resize(node_active_.size() + static_cast<std::size_t>(count), 1);
   if (track_touched_) node_dirty_.resize(node_active_.size(), 0);
   ++revision_;
@@ -170,13 +153,11 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
                         << " — self-loops are never useful in a routing graph");
   FPR_CHECK(w >= 0, "add_edge {" << u << ", " << v << "} weight " << w
                         << " — routing costs are non-negative");
-  materialize();
+  topo_ = nullptr;
   const EdgeId id = edge_count();
   ends_.push_back(EdgeEnds{u, v});
   weight_.push_back(w);
   active_.push_back(1);
-  incident_[static_cast<std::size_t>(u)].push_back(id);
-  incident_[static_cast<std::size_t>(v)].push_back(id);
   if (node_active(u) && node_active(v)) {
     ++usable_edges_;
     usable_weight_sum_ += w;
@@ -187,35 +168,15 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
   return id;
 }
 
-std::span<const EdgeId> Graph::tiled_incident_edges(NodeId v) const {
-  // Thread-local scratch: width-search probes and sweep cells route on
-  // different threads, each into its own buffer. The span is valid until
-  // this thread's next call (documented in graph.hpp).
-  // fpr-lint: allow(global-state) per-thread scratch buffer, overwritten on every call; lifetime contract documented in graph.hpp
-  static thread_local std::vector<EdgeId> scratch;
-  scratch.clear();
-  topo_->for_each_slot(v, [&](NodeId, EdgeId e, const TiledSlot&) { scratch.push_back(e); });
-  return scratch;
-}
-
-void Graph::sync_csr_weight(EdgeId e, Weight w) {
-  if (csr_structural_.load(std::memory_order_relaxed) != structural_revision_) return;
-  const auto s = static_cast<std::size_t>(e) * 2;
-  csr_.weight[static_cast<std::size_t>(csr_.slot[s])] = w;
-  csr_.weight[static_cast<std::size_t>(csr_.slot[s + 1])] = w;
-}
-
 void Graph::enter_usable(EdgeId e) {
   const Weight w = weight_[static_cast<std::size_t>(e)];
   ++usable_edges_;
   usable_weight_sum_ += w;
-  sync_csr_weight(e, w);
 }
 
 void Graph::leave_usable(EdgeId e) {
   --usable_edges_;
   usable_weight_sum_ -= weight_[static_cast<std::size_t>(e)];
-  sync_csr_weight(e, kInfiniteWeight);
 }
 
 void Graph::set_edge_weight(EdgeId e, Weight w) {
@@ -225,10 +186,7 @@ void Graph::set_edge_weight(EdgeId e, Weight w) {
                         << " — routing costs are non-negative");
   mark_edge_touched(e);
   Weight& cur = weight_[static_cast<std::size_t>(e)];
-  if (edge_usable(e)) {
-    usable_weight_sum_ += w - cur;
-    sync_csr_weight(e, w);
-  }
+  if (edge_usable(e)) usable_weight_sum_ += w - cur;
   cur = w;
   ++revision_;
 }
@@ -241,10 +199,7 @@ void Graph::add_edge_weight(EdgeId e, Weight delta) {
                                   << delta << " would make the routing cost negative");
   mark_edge_touched(e);
   cur += delta;
-  if (edge_usable(e)) {
-    usable_weight_sum_ += delta;
-    sync_csr_weight(e, cur);
-  }
+  if (edge_usable(e)) usable_weight_sum_ += delta;
   ++revision_;
 }
 
@@ -312,12 +267,6 @@ void Graph::clear_touched() {
   touched_edges_.clear();
 }
 
-const CsrAdjacency& Graph::csr() const {
-  const std::uint64_t want = structural_revision_;
-  if (csr_structural_.load(std::memory_order_acquire) != want) rebuild_csr(want);
-  return published_csr();
-}
-
 void Graph::rebuild_csr(std::uint64_t want) const {
   MutexLock lock(csr_mu_);
   if (csr_structural_.load(std::memory_order_relaxed) != want) {
@@ -327,46 +276,30 @@ void Graph::rebuild_csr(std::uint64_t want) const {
 }
 
 void Graph::build_csr() const {
-  // Exact sizes up front (each edge occupies exactly two slots: no
-  // self-loops), then one fill in node order. Slices follow incident-list
-  // order — the deterministic-parent guarantee of dijkstra() relies on this
-  // — so a tiled graph's snapshot is byte-identical to its materialized
-  // equivalent's (the differential suite pins this).
+  // One counting sort of the endpoint store by node. Edges are placed in
+  // ascending id, so each slice lists its edges in ascending id — add_edge's
+  // insertion order and the template's slot order, which the
+  // deterministic-parent guarantee of dijkstra() relies on.
   const auto n = static_cast<std::size_t>(node_count());
-  const std::size_t total = static_cast<std::size_t>(edge_count()) * 2;
   csr_.offsets.assign(n + 1, 0);
-  csr_.neighbor.resize(total);
-  csr_.edge_id.resize(total);
-  csr_.weight.resize(total);
-  csr_.slot.assign(total, kInvalidEdge);
-  std::size_t k = 0;
-  const auto fill = [&](NodeId nbr, EdgeId e) {
+  for (const EdgeEnds& p : ends_) {
+    ++csr_.offsets[static_cast<std::size_t>(p.u) + 1];
+    ++csr_.offsets[static_cast<std::size_t>(p.v) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) csr_.offsets[v + 1] += csr_.offsets[v];
+  csr_.neighbor.resize(ends_.size() * 2);
+  csr_.edge_id.resize(ends_.size() * 2);
+  std::vector<EdgeId> next(csr_.offsets.begin(), csr_.offsets.end() - 1);
+  const auto place = [&](NodeId v, NodeId nbr, EdgeId e) {
+    const auto k = static_cast<std::size_t>(next[static_cast<std::size_t>(v)]++);
     csr_.neighbor[k] = nbr;
     csr_.edge_id[k] = e;
-    csr_.weight[k] = edge_usable(e) ? weight_[static_cast<std::size_t>(e)] : kInfiniteWeight;
-    // Remember both slots so weight mutations can patch them in place.
-    auto& first = csr_.slot[static_cast<std::size_t>(e) * 2];
-    if (first == kInvalidEdge) {
-      first = static_cast<EdgeId>(k);
-    } else {
-      csr_.slot[static_cast<std::size_t>(e) * 2 + 1] = static_cast<EdgeId>(k);
-    }
-    ++k;
   };
-  if (topo_ != nullptr) {
-    // Tile-row-at-a-time walk: the pattern lookup is hoisted per cell.
-    topo_->for_each_node([&](NodeId v, const TiledTopology::Decoded& d) {
-      csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
-      topo_->apply(d, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fill(nbr, e); });
-    });
-  } else {
-    for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-      csr_.offsets[static_cast<std::size_t>(v)] = static_cast<EdgeId>(k);
-      for_each_incident(v, fill);
-    }
+  for (EdgeId e = 0; e < edge_count(); ++e) {
+    const EdgeEnds& p = ends_[static_cast<std::size_t>(e)];
+    place(p.u, p.v, e);
+    place(p.v, p.u, e);
   }
-  FPR_CHECK(k == total, "CSR build filled " << k << " of " << total << " slots");
-  csr_.offsets[n] = static_cast<EdgeId>(total);
 }
 
 }  // namespace fpr

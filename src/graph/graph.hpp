@@ -13,32 +13,20 @@
 
 namespace fpr {
 
-/// Flat compressed-sparse-row snapshot of a Graph's adjacency, the classic
+/// Flat compressed-sparse-row snapshot of a Graph's topology, the classic
 /// routing-resource-graph layout (PathFinder/VPR): one contiguous offsets
-/// array plus parallel neighbor/edge-id arrays, so the Dijkstra inner loop
-/// walks cache-line-sized runs instead of chasing per-node vectors.
+/// array plus parallel neighbor/edge-id arrays. It holds no weight or
+/// activity: those are read from the graph's per-edge store, so weight and
+/// activity mutations never touch a built snapshot.
 ///
-/// Within a node's slice, entries appear in edge-insertion order — the same
-/// order Graph::incident_edges() yields — which the deterministic-parent
-/// guarantee of dijkstra() depends on (see DESIGN.md §8).
-///
-/// `weight` mirrors the per-edge traversal cost per slot (the edge's weight,
-/// or kInfiniteWeight while unusable) and is updated in place by the weight
-/// and activity mutators, so congestion bumps never force a rebuild and the
-/// relaxation loop reads its cost from the same contiguous stream it reads
-/// the neighbor from.
+/// Within a node's slice, entries appear in ascending edge id — add_edge's
+/// insertion order and the tile template's slot order — which the
+/// deterministic-parent guarantee of dijkstra() depends on (see DESIGN.md
+/// §8).
 struct CsrAdjacency {
   std::vector<EdgeId> offsets;   // node_count() + 1 entries
   std::vector<NodeId> neighbor;  // 2 * edge_count() entries
   std::vector<EdgeId> edge_id;   // parallel to neighbor
-  std::vector<Weight> weight;    // parallel to neighbor; traversal weight
-  std::vector<EdgeId> slot;      // slot[2e], slot[2e+1]: edge e's positions
-
-  std::span<const NodeId> neighbors_of(NodeId v) const {
-    const auto b = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
-    const auto e = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
-    return {neighbor.data() + b, e - b};
-  }
 };
 
 /// Weighted undirected graph with removable (deactivatable) nodes and edges
@@ -53,27 +41,27 @@ struct CsrAdjacency {
 ///
 /// Every graph keeps one per-edge store — endpoint pair, weight, activity
 /// byte (17 bytes/edge) — so edge(), other_end() and edge_usable() are
-/// plain array reads. Two representations differ only in where adjacency
-/// comes from (DESIGN.md §12):
+/// plain array reads. for_each_incident() is the one adjacency walk; the
+/// two representations differ only in where it reads adjacency from
+/// (DESIGN.md §12):
 ///
-///  - *Materialized* (the default): per-node incident lists, grown by
-///    add_nodes/add_edge.
+///  - *Materialized* (the default): the CSR snapshot (csr()), one counting
+///    sort of the endpoint store, built lazily after add_nodes/add_edge.
 ///  - *Tiled* (from_tiled()): adjacency is synthesized arithmetically from
 ///    a shared immutable TiledTopology, so no per-node list is stored. The
 ///    logical graph (ids, order, weights, mutation semantics, aggregate
 ///    trajectories) is bit-identical to the materialized equivalent; the
 ///    device differential suite pins this. A tiled graph's structure is
-///    fixed; calling add_nodes/add_edge first materializes it
-///    (transparently, preserving all ids and state).
+///    fixed; add_nodes/add_edge drop the template, which leaves a
+///    materialized graph with every id and state bit unchanged.
 ///
 /// Two monotone revision counters drive caching:
 ///  - revision() bumps on EVERY mutation and invalidates anything derived
 ///    from weights or activity (PathOracle's shortest-path trees);
 ///  - structural_revision() bumps only when the topology itself grows
-///    (add_nodes/add_edge). The CSR adjacency snapshot (csr()) depends only
-///    on topology, so the router's per-edge congestion bumps and node
-///    removals update the flat weight streams in place without ever forcing
-///    a CSR rebuild.
+///    (add_nodes/add_edge). The CSR snapshot holds topology only, so the
+///    router's per-edge congestion bumps and node removals never force a
+///    rebuild.
 class Graph {
  public:
   struct Edge {
@@ -110,26 +98,8 @@ class Graph {
   NodeId node_count() const { return static_cast<NodeId>(node_active_.size()); }
   EdgeId edge_count() const { return static_cast<EdgeId>(ends_.size()); }
 
-  /// The tile template this graph synthesizes its adjacency from, or
-  /// nullptr for a materialized graph. The Dijkstra engine keys its
-  /// traversal backend on this.
-  const TiledTopology* tiled_topology() const { return topo_.get(); }
+  /// True while adjacency is synthesized from a tile template.
   bool tiled() const { return topo_ != nullptr; }
-
-  /// Raw state arrays for the tiled traversal backend (dijkstra.cpp):
-  /// weights are true per-edge weights; activity is one byte per element.
-  /// Valid only while tiled(); pointers are invalidated by any structural
-  /// mutation.
-  struct TiledView {
-    const TiledTopology* topo = nullptr;
-    const Weight* weight = nullptr;
-    const char* edge_active = nullptr;
-    const char* node_active = nullptr;
-  };
-  TiledView tiled_view() const {
-    FPR_CHECK(topo_ != nullptr, "tiled_view() on a materialized graph");
-    return TiledView{topo_.get(), weight_.data(), active_.data(), node_active_.data()};
-  }
 
   /// Edge record, returned by value. `u` and `v` are add_edge's arguments in
   /// order; on a tiled graph `u` is the smaller endpoint (every device
@@ -151,14 +121,23 @@ class Graph {
     return p.u == from ? p.v : p.u;
   }
 
-  /// All edges ever attached to `v` (including inactive ones; filter with
-  /// edge_usable()). On a tiled graph the span points into a thread-local
-  /// scratch buffer synthesized per call — it stays valid until this
-  /// thread's next incident_edges() call on any tiled graph, which every
-  /// current caller satisfies (no caller holds a span across another call).
-  std::span<const EdgeId> incident_edges(NodeId v) const {
-    if (topo_ != nullptr) return tiled_incident_edges(v);
-    return incident_[static_cast<std::size_t>(v)];
+  /// Calls `fn(neighbor, edge)` for every edge ever attached to `v`
+  /// (including inactive ones; filter with edge_active()/node_active()), in
+  /// ascending edge id: from the template's slots on a tiled graph, from
+  /// the CSR slice on a materialized one. `fn` may change weights and
+  /// activity (neither representation stores them in its adjacency), but
+  /// not the structure.
+  template <typename Fn>
+  void for_each_incident(NodeId v, Fn&& fn) const {
+    if (topo_ != nullptr) {
+      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
+      return;
+    }
+    const CsrAdjacency& c = csr();
+    const auto end = static_cast<std::size_t>(c.offsets[static_cast<std::size_t>(v) + 1]);
+    for (auto k = static_cast<std::size_t>(c.offsets[static_cast<std::size_t>(v)]); k < end; ++k) {
+      fn(c.neighbor[k], c.edge_id[k]);
+    }
   }
 
   bool node_active(NodeId v) const { return node_active_[static_cast<std::size_t>(v)]; }
@@ -184,15 +163,17 @@ class Graph {
   /// revision() the CSR snapshot depends on.
   std::uint64_t structural_revision() const { return structural_revision_; }
 
-  /// The flat adjacency snapshot, rebuilt lazily when structural_revision()
-  /// has moved since the last build. Safe to call from concurrent readers
-  /// (the rebuild is mutex-guarded); mutating the graph concurrently with
-  /// any reader is undefined, exactly as before. A tiled graph stamps the
-  /// snapshot from its template tile-row-at-a-time into exactly
-  /// preallocated arrays — byte-identical to the materialized rebuild —
-  /// and keeps it weight-synced afterwards; the tiled Dijkstra backend
-  /// never needs it, so large tiled devices typically never pay for one.
-  const CsrAdjacency& csr() const;
+  /// The flat topology snapshot, rebuilt lazily (one counting sort of the
+  /// endpoint store) when structural_revision() has moved since the last
+  /// build. Safe to call from concurrent readers (the rebuild is
+  /// mutex-guarded, and a published snapshot is never written again);
+  /// mutating the graph concurrently with any reader is undefined. A tiled
+  /// graph walks its template instead, so it builds one only on request.
+  const CsrAdjacency& csr() const {
+    const std::uint64_t want = structural_revision_;
+    if (csr_structural_.load(std::memory_order_acquire) != want) rebuild_csr(want);
+    return published_csr();
+  }
 
   /// Number of currently usable edges. O(1): maintained as a running
   /// counter by every mutator.
@@ -241,32 +222,9 @@ class Graph {
   }
 
   void copy_logical_state(const Graph& other);
-  /// Converts a tiled graph to the materialized representation in place by
-  /// building the per-node incident lists; every id, order and state bit is
-  /// preserved. Called by the structural mutators; O(V + E).
-  void materialize();
-  /// Calls `fn(neighbor, edge)` for every edge attached to `v`, in ascending
-  /// edge order (template slot order, or incident-list order).
-  template <typename Fn>
-  void for_each_incident(NodeId v, Fn&& fn) const {
-    if (topo_ != nullptr) {
-      topo_->for_each_slot(v, [&](NodeId nbr, EdgeId e, const TiledSlot&) { fn(nbr, e); });
-      return;
-    }
-    for (const EdgeId e : incident_[static_cast<std::size_t>(v)]) {
-      const EdgeEnds& p = ends_[static_cast<std::size_t>(e)];
-      fn(p.u == v ? p.v : p.u, e);
-    }
-  }
-  /// Moves edge `e` into/out of the usable set: running counters plus the
-  /// CSR weight stream.
+  /// Moves edge `e` into/out of the usable set's running counters.
   void enter_usable(EdgeId e);
   void leave_usable(EdgeId e);
-  /// Mirrors a traversal-weight change into the CSR snapshot's per-slot
-  /// weight stream, when a snapshot is currently built. Writes csr_ without
-  /// csr_mu_: mutators run under the documented writer-exclusivity contract
-  /// (no concurrent readers), which the analysis cannot express.
-  void sync_csr_weight(EdgeId e, Weight w) FPR_NO_THREAD_SAFETY_ANALYSIS;
   /// Rebuilds the CSR snapshot under csr_mu_ if it is stale at `want`.
   void rebuild_csr(std::uint64_t want) const FPR_EXCLUDES(csr_mu_);
   void build_csr() const FPR_REQUIRES(csr_mu_);
@@ -276,10 +234,6 @@ class Graph {
   /// current snapshot is never written again (release/acquire publication,
   /// which guarded_by cannot express).
   const CsrAdjacency& published_csr() const FPR_NO_THREAD_SAFETY_ANALYSIS { return csr_; }
-
-  /// incident_edges() for a tiled graph, synthesized into a per-thread
-  /// scratch buffer (width-search probes route on different threads).
-  std::span<const EdgeId> tiled_incident_edges(NodeId v) const;
 
   void mark_node_touched(NodeId v) {
     if (track_touched_ && !node_dirty_[static_cast<std::size_t>(v)]) {
@@ -300,10 +254,8 @@ class Graph {
   std::vector<char> active_;    // 1 byte per edge
   std::vector<char> node_active_;
 
-  // Adjacency: the template (tiled), or per-node incident lists in edge
-  // insertion order (materialized; empty while tiled).
+  // Adjacency of a tiled graph (nullptr once materialized, when csr_ serves).
   std::shared_ptr<const TiledTopology> topo_;
-  std::vector<std::vector<EdgeId>> incident_;
 
   std::uint64_t revision_ = 0;
   std::uint64_t structural_revision_ = 0;

@@ -163,8 +163,8 @@ class TiledTopology {
 
   /// Iterates every node in ascending id order, invoking
   /// `fn(v, decoded)` with the pattern lookup hoisted per (role, y, x) cell
-  /// — the tile-row-at-a-time walk bulk construction (CSR stamping,
-  /// Graph::from_tiled) is built on.
+  /// — the tile-row-at-a-time walk that Graph::from_tiled's stamping pass
+  /// and the template compiler's verification are built on.
   template <typename Fn>
   void for_each_node(Fn&& fn) const {
     for (const TiledRole& role : roles) {

@@ -130,19 +130,18 @@ bool search_corridor(const Device& device, const CongestionLayer& layer, const C
     // Membership first (pure geometry), then the capacity prune, then edge
     // usability/weight — so no graph or layer state outside the corridor is
     // ever read.
-    for (const EdgeId e : g.incident_edges(v)) {
-      const NodeId w = g.other_end(e, v);
+    g.for_each_incident(v, [&](NodeId w, EdgeId e) {
       const Device::TilePos pos = device.node_tile(w);
-      if (!corridor.contains(pos.x, pos.y)) continue;
-      if (device.is_wire(w) && layer.would_overflow(w)) continue;
-      if (!g.edge_usable(e)) continue;
+      if (!corridor.contains(pos.x, pos.y)) return;
+      if (device.is_wire(w) && layer.would_overflow(w)) return;
+      if (!g.edge_usable(e)) return;
       const Weight nd = d + g.edge_weight(e);
       const auto [slot, fresh] = dist.try_emplace(w, nd);
-      if (!fresh && nd >= slot->second) continue;
+      if (!fresh && nd >= slot->second) return;
       slot->second = nd;
       parent[w] = {v, e};
       heap.emplace(nd, w);
-    }
+    });
   }
   return false;
 }

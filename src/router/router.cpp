@@ -59,12 +59,12 @@ int commit_net(Device& device, const std::vector<EdgeId>& edges, double congesti
     for (const NodeId w : wires) {
       device.for_each_tile_sibling(w, [&](NodeId sibling) {
         if (!g.node_active(sibling)) return;
-        for (const EdgeId e : g.incident_edges(sibling)) {
+        g.for_each_incident(sibling, [&](NodeId, EdgeId e) {
           if (g.edge_active(e)) {
             g.add_edge_weight(e, congestion_penalty);
             if (log) log->penalized.push_back(e);
           }
-        }
+        });
       });
     }
   }

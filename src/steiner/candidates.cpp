@@ -41,9 +41,9 @@ std::vector<NodeId> steiner_candidates(const Graph& g, std::span<const NodeId> t
           if (!spt.reached(terminals[j])) continue;
           for (const NodeId v : spt.path_nodes_to(terminals[j])) {
             corridor.insert(v);
-            for (const EdgeId e : g.incident_edges(v)) {
-              if (g.edge_usable(e)) corridor.insert(g.other_end(e, v));
-            }
+            g.for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+              if (g.edge_usable(e)) corridor.insert(nbr);
+            });
           }
         }
       }

@@ -73,9 +73,8 @@ std::optional<RoutingTree> exact_gmst(const Graph& g, std::span<const NodeId> ne
       const auto [d, u] = heap.top();
       heap.pop();
       if (d > row[static_cast<std::size_t>(u)]) continue;
-      for (const EdgeId e : g.incident_edges(u)) {
-        if (!g.edge_usable(e)) continue;
-        const NodeId v = g.other_end(e, u);
+      g.for_each_incident(u, [&](NodeId v, EdgeId e) {
+        if (!g.edge_usable(e)) return;
         const Weight nd = d + g.edge_weight(e);
         auto& dv = row[static_cast<std::size_t>(v)];
         if (nd < dv) {
@@ -83,7 +82,7 @@ std::optional<RoutingTree> exact_gmst(const Graph& g, std::span<const NodeId> ne
           ch[static_cast<std::size_t>(v)] = Choice{Choice::Kind::kEdge, 0, u, e};
           heap.emplace(nd, v);
         }
-      }
+      });
     }
   }
 

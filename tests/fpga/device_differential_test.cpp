@@ -1,7 +1,7 @@
 // Differential suite for the tile-template builder (DESIGN.md §12): the
 // stamped graph must be BIT-identical to the legacy per-element builder —
 // same node ids, same edge ids in the same emission order, same weights,
-// same CSR layout — across arch families, sizes, widths, and fault specs.
+// same adjacency walk — across arch families, sizes, widths, and fault specs.
 // Any divergence is a compile-time template bug, and these tests are the
 // contract that keeps the legacy builder around as the executable spec
 // (the same role dijkstra_reference.hpp plays for the search engine).
@@ -17,14 +17,15 @@
 #include "fpga/tile_template.hpp"
 #include "graph/dijkstra.hpp"
 #include "router/router.hpp"
+#include "test_util.hpp"
 
 namespace fpr {
 namespace {
 
 /// Full structural + state byte-compare of two graphs: counts, per-edge
-/// endpoints/weight/activity, per-node activity and incident order, and the
-/// CSR snapshot vector-by-vector. EXPECT (not ASSERT) on the scalar counts
-/// so one failing family reports everything that diverged.
+/// endpoints/weight/activity, per-node activity, and each node's
+/// for_each_incident walk (template slots on a stamped graph, the CSR on a
+/// legacy one).
 void expect_graphs_identical(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
   ASSERT_EQ(a.edge_count(), b.edge_count());
@@ -38,23 +39,13 @@ void expect_graphs_identical(const Graph& a, const Graph& b) {
   }
   for (NodeId v = 0; v < a.node_count(); ++v) {
     ASSERT_EQ(a.node_active(v), b.node_active(v)) << "node " << v;
-    const auto ia = a.incident_edges(v);
-    const auto ib = b.incident_edges(v);
-    ASSERT_EQ(std::vector<EdgeId>(ia.begin(), ia.end()),
-              std::vector<EdgeId>(ib.begin(), ib.end()))
-        << "node " << v;
+    ASSERT_EQ(testing::walk_neighbors(a, v), testing::walk_neighbors(b, v)) << "node " << v;
   }
-  const CsrAdjacency& ca = a.csr();
-  const CsrAdjacency& cb = b.csr();
-  EXPECT_EQ(ca.offsets, cb.offsets);
-  EXPECT_EQ(ca.neighbor, cb.neighbor);
-  EXPECT_EQ(ca.edge_id, cb.edge_id);
-  EXPECT_EQ(ca.weight, cb.weight);
-  EXPECT_EQ(ca.slot, cb.slot);
 }
 
 /// Device-level differential: the stamped device must also agree on the
-/// derived id arithmetic (node_tile) the partition tree depends on.
+/// derived id arithmetic (node_tile) that pattern routing's tile corridors
+/// depend on.
 void expect_devices_identical(const Device& legacy, const Device& stamped) {
   expect_graphs_identical(legacy.graph(), stamped.graph());
   ASSERT_EQ(legacy.block_count(), stamped.block_count());
@@ -143,7 +134,7 @@ TEST(DeviceDifferentialTest, TemplateCompiledOncePerFamilyAcrossSizes) {
 TEST(DeviceDifferentialTest, StampedMatchesLegacyXc4000) {
   for (const auto& [rows, cols, width] :
        std::vector<std::tuple<int, int, int>>{{7, 7, 4}, {9, 8, 6}, {12, 12, 5}}) {
-    SCOPED_TRACE(testing::Message() << rows << "x" << cols << " w=" << width);
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " w=" << width);
     const ArchSpec spec = ArchSpec::xc4000(rows, cols, width);
     const Device legacy(spec, DeviceBuild::kLegacy);
     const Device stamped(spec);
@@ -156,7 +147,7 @@ TEST(DeviceDifferentialTest, StampedMatchesLegacyXc4000) {
 TEST(DeviceDifferentialTest, StampedMatchesLegacyXc3000) {
   for (const auto& [rows, cols, width] :
        std::vector<std::tuple<int, int, int>>{{7, 9, 5}, {11, 7, 8}}) {
-    SCOPED_TRACE(testing::Message() << rows << "x" << cols << " w=" << width);
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " w=" << width);
     const ArchSpec spec = ArchSpec::xc3000(rows, cols, width);
     const Device legacy(spec, DeviceBuild::kLegacy);
     const Device stamped(spec);
@@ -175,7 +166,7 @@ TEST(DeviceDifferentialTest, StampedMatchesLegacy3d) {
   cases.push_back({ArchSpec::xc4000(8, 15, 4), 2, 3, 1.5});
   cases.push_back({ArchSpec::xc3000(7, 14, 5), 3, 2, 2.0});
   for (const Arch3dSpec& spec : cases) {
-    SCOPED_TRACE(testing::Message()
+    SCOPED_TRACE(::testing::Message()
                  << spec.layer.rows << "x" << spec.layer.cols << " w=" << spec.layer.channel_width
                  << " layers=" << spec.layers << " via_spacing=" << spec.via_spacing);
     const Device3d legacy(spec, DeviceBuild::kLegacy);
@@ -199,7 +190,7 @@ TEST(DeviceDifferentialTest, FaultDrawsIdenticalAcrossBuilders) {
   ASSERT_TRUE(stamped.tiled());
 
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
     const FaultSpec fs = stress_faults(seed);
     const FaultModel ma = FaultModel::draw(legacy, fs);
     const FaultModel mb = FaultModel::draw(stamped, fs);

@@ -47,8 +47,9 @@ TEST_P(DeviceSweepTest, EveryBlockPinFanoutIsFourFc) {
   const Device device(spec);
   for (int y = 0; y < c.rows; ++y) {
     for (int x = 0; x < c.cols; ++x) {
-      EXPECT_EQ(device.graph().incident_edges(device.block_node(x, y)).size(),
-                static_cast<std::size_t>(4 * spec.fc()));
+      int degree = 0;
+      device.graph().for_each_incident(device.block_node(x, y), [&](NodeId, EdgeId) { ++degree; });
+      EXPECT_EQ(degree, 4 * spec.fc());
     }
   }
 }
@@ -63,9 +64,9 @@ TEST_P(DeviceSweepTest, InteriorWireFanoutRespectsFs) {
   int max_wire_degree = 0;
   for (NodeId v = device.block_count(); v < g.node_count(); ++v) {
     int wire_neighbors = 0;
-    for (const EdgeId e : g.incident_edges(v)) {
-      if (device.is_wire(g.other_end(e, v))) ++wire_neighbors;
-    }
+    g.for_each_incident(v, [&](NodeId nbr, EdgeId) {
+      if (device.is_wire(nbr)) ++wire_neighbors;
+    });
     max_wire_degree = std::max(max_wire_degree, wire_neighbors);
   }
   // Augmented (Fs=6) pattern additionally receives shifted-track edges from

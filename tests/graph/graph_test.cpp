@@ -8,6 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "fpga/device.hpp"
+#include "test_util.hpp"
+
 namespace fpr {
 namespace {
 
@@ -70,11 +73,9 @@ TEST(GraphTest, IncidentEdgesListsBothDirections) {
   Graph g(3);
   const EdgeId a = g.add_edge(0, 1, 1);
   const EdgeId b = g.add_edge(1, 2, 1);
-  const auto inc = g.incident_edges(1);
-  ASSERT_EQ(inc.size(), 2u);
-  EXPECT_EQ(inc[0], a);
-  EXPECT_EQ(inc[1], b);
-  EXPECT_EQ(g.incident_edges(0).size(), 1u);
+  using Walk = std::vector<std::pair<NodeId, EdgeId>>;
+  EXPECT_EQ(testing::walk_neighbors(g, 1), (Walk{{0, a}, {2, b}}));
+  EXPECT_EQ(testing::walk_neighbors(g, 0), (Walk{{1, a}}));
 }
 
 TEST(GraphTest, RemoveEdgeMakesItUnusable) {
@@ -224,63 +225,118 @@ TEST(GraphTest, CsrSnapshotMatchesIncidentListsAndSurvivesWeightMutation) {
   g.add_edge(1, 2, 2);
   g.add_edge(2, 3, 3);
   g.add_edge(0, 3, 4);
+  // Each node's slice lists exactly what an ascending scan of the endpoint
+  // store finds, in that order.
+  const auto expect_matches_scan = [&](const CsrAdjacency& csr) {
+    ASSERT_EQ(csr.offsets.size(), static_cast<std::size_t>(g.node_count()) + 1);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto want = testing::scan_neighbors(g, v);
+      const auto begin = static_cast<std::size_t>(csr.offsets[static_cast<std::size_t>(v)]);
+      const auto end = static_cast<std::size_t>(csr.offsets[static_cast<std::size_t>(v) + 1]);
+      ASSERT_EQ(end - begin, want.size()) << "node " << v;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(csr.neighbor[begin + i], want[i].first) << "node " << v;
+        EXPECT_EQ(csr.edge_id[begin + i], want[i].second) << "node " << v;
+      }
+    }
+  };
   const CsrAdjacency& csr = g.csr();
   const CsrAdjacency* built = &csr;
-  ASSERT_EQ(csr.offsets.size(), 5u);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto inc = g.incident_edges(v);
-    const auto begin = static_cast<std::size_t>(csr.offsets[static_cast<std::size_t>(v)]);
-    const auto end = static_cast<std::size_t>(csr.offsets[static_cast<std::size_t>(v) + 1]);
-    ASSERT_EQ(end - begin, inc.size());
-    for (std::size_t i = 0; i < inc.size(); ++i) {
-      EXPECT_EQ(csr.edge_id[begin + i], inc[i]);  // insertion order preserved
-      EXPECT_EQ(csr.neighbor[begin + i], g.other_end(inc[i], v));
-    }
-  }
-  // The traversal weight of edge e, read from both of its CSR slots.
-  const auto slot_weight = [&](EdgeId e) {
-    const CsrAdjacency& c = g.csr();
-    const Weight a = c.weight[static_cast<std::size_t>(c.slot[static_cast<std::size_t>(e) * 2])];
-    const Weight b =
-        c.weight[static_cast<std::size_t>(c.slot[static_cast<std::size_t>(e) * 2 + 1])];
-    EXPECT_EQ(a, b) << "edge " << e;
-    return a;
-  };
-  // Weight and usability mutations patch the snapshot in place: an unusable
-  // edge reads kInfiniteWeight, and a weight set while unusable shows up on
-  // restore.
-  EXPECT_DOUBLE_EQ(slot_weight(0), 1.0);
+  expect_matches_scan(csr);
+  const std::uint64_t structure = g.structural_revision();
+  // Weight and usability mutations live in the per-edge store only.
   g.set_edge_weight(0, 2.5);
-  EXPECT_DOUBLE_EQ(slot_weight(0), 2.5);
+  EXPECT_DOUBLE_EQ(g.edge_weight(0), 2.5);
   g.remove_node(0);
   EXPECT_FALSE(g.edge_usable(0));
   EXPECT_FALSE(g.edge_usable(3));
-  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
-  EXPECT_EQ(slot_weight(3), kInfiniteWeight);
   g.restore_node(0);
   EXPECT_TRUE(g.edge_usable(0));
-  EXPECT_DOUBLE_EQ(slot_weight(3), 4.0);
+  EXPECT_TRUE(g.edge_usable(3));
   g.add_edge_weight(0, 0.5);
-  EXPECT_DOUBLE_EQ(slot_weight(0), 3.0);
+  EXPECT_DOUBLE_EQ(g.edge_weight(0), 3.0);
   g.remove_edge(0);
   EXPECT_FALSE(g.edge_usable(0));
-  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
   g.set_edge_weight(0, 7.0);  // weight mutation while unusable
-  EXPECT_EQ(slot_weight(0), kInfiniteWeight);
   g.restore_edge(0);
   EXPECT_TRUE(g.edge_usable(0));
-  EXPECT_DOUBLE_EQ(slot_weight(0), 7.0);
+  EXPECT_DOUBLE_EQ(g.edge_weight(0), 7.0);
   g.set_edge_weight(0, 9);
   g.remove_node(2);
   // None of that rebuilt the snapshot; adding an edge must.
+  EXPECT_EQ(g.structural_revision(), structure);
   EXPECT_EQ(&g.csr(), built);
   const auto id_before = g.csr().edge_id;
   g.add_edge(1, 3, 1);
+  EXPECT_GT(g.structural_revision(), structure);
   EXPECT_NE(g.csr().edge_id, id_before);
   EXPECT_EQ(g.csr().edge_id.size(), id_before.size() + 2);
-  // The rebuilt snapshot carries the current usability.
-  EXPECT_EQ(slot_weight(1), kInfiniteWeight);
-  EXPECT_DOUBLE_EQ(slot_weight(0), 9.0);
+  expect_matches_scan(g.csr());
+  // The rebuilt snapshot leaves the state alone.
+  EXPECT_FALSE(g.edge_usable(1));
+  EXPECT_DOUBLE_EQ(g.edge_weight(0), 9.0);
+}
+
+/// Walks every node of `g`, checking each walk against the endpoint scan
+/// while the callback raises every visited edge's weight by one, removes
+/// every third visited edge and every fifth visited neighbor — the
+/// mutations a router makes mid-walk.
+void expect_walks_match_scan_under_mutation(Graph& g) {
+  std::vector<Weight> before(static_cast<std::size_t>(g.edge_count()));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) before[static_cast<std::size_t>(e)] = g.edge_weight(e);
+  int visits = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto want = testing::scan_neighbors(g, v);
+    std::vector<std::pair<NodeId, EdgeId>> got;
+    g.for_each_incident(v, [&](NodeId nbr, EdgeId e) {
+      got.emplace_back(nbr, e);
+      g.add_edge_weight(e, 1);
+      ++visits;
+      if (visits % 3 == 0) g.remove_edge(e);
+      if (visits % 5 == 0) g.remove_node(nbr);
+    });
+    ASSERT_EQ(got, want) << "node " << v;
+  }
+  // Each edge was visited once from each end, and nothing was cached.
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_EQ(g.edge_weight(e), before[static_cast<std::size_t>(e)] + 2) << "edge " << e;
+  }
+  EXPECT_EQ(g.active_edge_count(), scan_active_edge_count(g));
+  // Removed edges are still walked (the walk filters nothing).
+  EXPECT_EQ(testing::walk_neighbors(g, 0), testing::scan_neighbors(g, 0));
+}
+
+TEST(GraphTest, ForEachIncidentMatchesEndpointScanUnderMutation) {
+  {
+    // Materialized, with add_edge calls interleaved across nodes, in both
+    // endpoint orders, and a node added between edges.
+    Graph g(4);
+    g.add_edge(3, 1, 1);
+    g.add_edge(0, 2, 2);
+    g.add_edge(1, 0, 3);
+    const NodeId late = g.add_nodes(1);
+    g.add_edge(late, 2, 4);
+    g.add_edge(2, 3, 5);
+    g.add_edge(1, late, 6);
+    g.add_edge(0, 3, 7);
+    ASSERT_FALSE(g.tiled());
+    expect_walks_match_scan_under_mutation(g);
+  }
+  {
+    Device device(ArchSpec::xc4000(7, 7, 4));  // stamped from the tile template
+    ASSERT_TRUE(device.graph().tiled());
+    expect_walks_match_scan_under_mutation(device.graph());
+  }
+  {
+    // A structural edit, even an empty one, drops the template: the walk
+    // now reads the CSR, over the same ids in the same order.
+    Device device(ArchSpec::xc4000(7, 7, 4));
+    Graph& g = device.graph();
+    ASSERT_TRUE(g.tiled());
+    g.add_nodes(0);
+    ASSERT_FALSE(g.tiled());
+    expect_walks_match_scan_under_mutation(g);
+  }
 }
 
 /// A one-cell template whose `tracks` give every node its own pattern, so

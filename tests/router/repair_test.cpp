@@ -200,9 +200,9 @@ TEST_F(RepairTest, OnlyPathKilledDegradesToBlockedComplementUntouched) {
   // connection-block tracks dead there is no path at all.
   const NodeId sink_block = device.block_node(3, 3);
   RepairEvent ev;
-  for (const NodeId v : device.graph().csr().neighbors_of(sink_block)) {
+  device.graph().for_each_incident(sink_block, [&](NodeId v, EdgeId) {
     if (device.is_wire(v)) ev.faults.dead_wires.push_back(v);
-  }
+  });
   ev.faults.normalize();
   ASSERT_FALSE(ev.faults.dead_wires.empty());
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <random>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/generate.hpp"
@@ -46,6 +47,26 @@ inline Graph random_connected_graph(NodeId nodes, EdgeId extra_edges, unsigned s
     ++added;
   }
   return g;
+}
+
+/// The (neighbor, edge) pairs Graph::for_each_incident yields for `v`, in
+/// walk order.
+inline std::vector<std::pair<NodeId, EdgeId>> walk_neighbors(const Graph& g, NodeId v) {
+  std::vector<std::pair<NodeId, EdgeId>> out;
+  g.for_each_incident(v, [&](NodeId nbr, EdgeId e) { out.emplace_back(nbr, e); });
+  return out;
+}
+
+/// Ground truth for walk_neighbors, independent of any adjacency structure:
+/// an ascending scan of every edge's endpoints. O(E) per call.
+inline std::vector<std::pair<NodeId, EdgeId>> scan_neighbors(const Graph& g, NodeId v) {
+  std::vector<std::pair<NodeId, EdgeId>> out;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Graph::Edge ed = g.edge(e);
+    if (ed.u == v) out.emplace_back(ed.v, e);
+    if (ed.v == v) out.emplace_back(ed.u, e);
+  }
+  return out;
 }
 
 /// k distinct random node ids in [0, nodes).
