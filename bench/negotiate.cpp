@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -138,6 +139,8 @@ int main(int argc, char** argv) {
     bench::Json doc = bench::Json::object();
     doc.field("bench", "negotiate_router");
     doc.field("timestamp", bench::iso_timestamp());
+    doc.field("nproc", static_cast<long long>(std::thread::hardware_concurrency()));
+    doc.field("build_type", FPR_BUILD_TYPE);
     doc.field("full_mode", bench::full_mode());
     doc.field("rows", rows);
     if (bench::write_json(json_path, doc)) {

@@ -505,6 +505,22 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
         r.fail(os.str());
       }
     }
+    if (static_cast<int>(result.reroute_trend.size()) != result.passes) {
+      std::ostringstream os;
+      os << "reroute_trend has " << result.reroute_trend.size() << " entries for "
+         << result.passes << " passes";
+      r.fail(os.str());
+    }
+    for (std::size_t i = 0; i < result.reroute_trend.size(); ++i) {
+      const int count = result.reroute_trend[i];
+      if (count < 0 || static_cast<std::size_t>(count) > circuit.nets.size()) {
+        std::ostringstream os;
+        os << "reroute_trend[" << i << "] = " << count << " outside [0, "
+           << circuit.nets.size() << "]";
+        r.fail(os.str());
+        break;
+      }
+    }
     if (result.pattern_accepts > result.pattern_attempts || result.pattern_attempts < 0) {
       std::ostringstream os;
       os << "pattern accounting inconsistent: " << result.pattern_accepts << " accepts of "
@@ -525,6 +541,9 @@ CheckResult check_routing_feasibility(const ArchSpec& arch, const Circuit& circu
   } else {
     if (!result.overflow_trend.empty()) {
       r.fail("paper-mode run carries a negotiated overflow_trend");
+    }
+    if (!result.reroute_trend.empty()) {
+      r.fail("paper-mode run carries a negotiated reroute_trend");
     }
     if (result.pattern_attempts != 0 || result.pattern_accepts != 0) {
       r.fail("paper-mode run carries pattern-probe counts");

@@ -32,26 +32,26 @@ void CongestionLayer::reprice(NodeId v) {
   });
 }
 
+void CongestionLayer::compact_touched() {
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  std::erase_if(touched_, [&](NodeId v) { return occ_[index(v)] == 0; });
+}
+
 void CongestionLayer::set_present_factor(double f) {
   FPR_CHECK(f >= 0, "CongestionLayer: present factor " << f << " must be non-negative");
-  FPR_CHECK(total_occ_ == 0,
-            "CongestionLayer: set_present_factor with " << total_occ_
-                                                        << " occupants priced in — begin_pass "
-                                                           "first so no stale present term "
-                                                           "remains at the old factor");
   present_factor_ = f;
+  compact_touched();
+  for (const NodeId v : touched_) reprice(v);
 }
 
 void CongestionLayer::begin_pass() {
-  std::sort(touched_.begin(), touched_.end());
+  compact_touched();
   for (const NodeId v : touched_) {
-    const std::size_t i = index(v);
-    if (occ_[i] == 0) continue;
-    occ_[i] = 0;
+    occ_[index(v)] = 0;
     reprice(v);
   }
   touched_.clear();
-  total_occ_ = 0;
   overflow_ = 0;
 }
 
@@ -59,7 +59,6 @@ void CongestionLayer::add_occupant(NodeId v) {
   const std::size_t i = index(v);
   if (occ_[i] == 0) touched_.push_back(v);
   ++occ_[i];
-  ++total_occ_;
   if (occ_[i] > capacity_) ++overflow_;
   reprice(v);
 }
@@ -69,7 +68,6 @@ void CongestionLayer::remove_occupant(NodeId v) {
   FPR_CHECK(occ_[i] > 0, "CongestionLayer: remove_occupant on unoccupied node " << v);
   if (occ_[i] > capacity_) --overflow_;
   --occ_[i];
-  --total_occ_;
   reprice(v);
 }
 
@@ -85,6 +83,7 @@ std::vector<NodeId> CongestionLayer::occupied() const {
     if (occ_[index(v)] > 0) out.push_back(v);
   }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

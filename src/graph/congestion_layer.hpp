@@ -46,14 +46,18 @@ class CongestionLayer {
   int capacity() const { return capacity_; }
   double present_factor() const { return present_factor_; }
 
-  /// Sets the present-overflow factor for the coming pass. Only legal while
-  /// no node is occupied (i.e. right after begin_pass()) so no stale
-  /// present term is left priced into the weights at the old factor.
+  /// Sets the present-overflow factor for the coming pass and reprices every
+  /// occupied node at it, in ascending node-id order, so no stale present
+  /// term is left priced into the weights at the old factor. The weights
+  /// come out bit-equal to begin_pass() followed by re-adding the same
+  /// occupants at the new factor. O(occupied log occupied).
   void set_present_factor(double f);
 
   /// Clears all occupancy (history persists) and restores the affected edge
-  /// weights, in ascending node-id order — the rip-up-everything start of a
-  /// negotiation pass. O(previously occupied), not O(graph).
+  /// weights, in ascending node-id order. The negotiation loop calls it
+  /// before its first pass and before rebuilding the shipped solution's
+  /// occupancy; passes after the first keep their occupancy and rip up
+  /// only the nets they re-route. O(previously occupied), not O(graph).
   void begin_pass();
 
   /// Occupancy bookkeeping for one wire node, repricing its incident edges
@@ -103,6 +107,11 @@ class CongestionLayer {
   /// node costs.
   void reprice(NodeId v);
 
+  /// Sorts `touched_`, drops duplicates (a node re-occupied after a rip-up
+  /// is listed again) and nodes whose occupancy fell back to zero, leaving
+  /// exactly the occupied nodes, ascending.
+  void compact_touched();
+
   Graph& g_;
   NodeId first_ = 0;
   int capacity_ = 1;
@@ -111,8 +120,7 @@ class CongestionLayer {
   std::vector<Weight> base_;    // per-edge base weight snapshot
   std::vector<int> occ_;        // per shared node
   std::vector<double> history_; // per shared node
-  std::vector<NodeId> touched_; // occupied since last begin_pass (dedup by occ 0->1)
-  long long total_occ_ = 0;
+  std::vector<NodeId> touched_; // pushed on every occ 0->1 step; may repeat until compacted
   int overflow_ = 0;
 };
 

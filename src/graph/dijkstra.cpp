@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/contract.hpp"
 #include "graph/dijkstra_arena.hpp"
 
 namespace fpr {
@@ -73,6 +74,15 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
                    double radius_factor, Weight slack, ShortestPathTree& out,
                    WorkBudget* budget) {
   const NodeId node_count = g.node_count();
+  // The walk below indexes per-node arrays (and, on a materialized graph,
+  // the CSR offsets) unchecked, so every id is range-checked here, once per
+  // run.
+  FPR_CHECK(source >= 0 && source < node_count,
+            "dijkstra: source " << source << " outside [0, " << node_count << ")");
+  for (const NodeId v : targets) {
+    FPR_CHECK(v >= 0 && v < node_count,
+              "dijkstra: target " << v << " outside [0, " << node_count << ")");
+  }
   out.source = source;
   out.inactive_targets = 0;
   out.budget_aborted = false;

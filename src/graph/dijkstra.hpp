@@ -70,6 +70,9 @@ struct ShortestPathTree {
 /// DESIGN.md §8. Output is bit-identical to the
 /// historical binary-heap engine (kept in graph/dijkstra_reference.hpp and
 /// pinned by tests/graph/dijkstra_differential_test.cpp).
+///
+/// Every entry point throws ContractViolation for a source or target id
+/// outside [0, g.node_count()); per settled node nothing is checked.
 ShortestPathTree dijkstra(const Graph& g, NodeId source);
 
 /// Allocation-free variant: runs into `out`, reusing its vectors' capacity.

@@ -148,6 +148,24 @@ void route_net_live(NegotiateContext& ctx, std::size_t idx, NetRouteResult& reco
   commit_occupancy(ctx, record, wire_nodes_of(device, record.edges));
 }
 
+/// Rips a net out of the layer: every wire it holds (`wires`, ascending)
+/// loses one occupant, and its record resets to the fresh state.
+void rip_up(NegotiateContext& ctx, NetRouteResult& record, const std::vector<NodeId>& wires) {
+  for (const NodeId w : wires) ctx.layer.remove_occupant(w);
+  record = NetRouteResult{};
+}
+
+/// The re-route rule (PathFinder's should-route-net): a net whose last
+/// attempt failed, or that holds a wire over capacity right now, is ripped
+/// up and routed again; any other net keeps its route. A fresh record reads
+/// as failed, so pass 1 routes every net.
+bool needs_reroute(const CongestionLayer& layer, const NetRouteResult& record,
+                   const std::vector<NodeId>& wires) {
+  if (!record.routed()) return true;
+  return std::any_of(wires.begin(), wires.end(),
+                     [&](NodeId w) { return layer.occupancy(w) > layer.capacity(); });
+}
+
 /// End-of-pass sweep: tallies total overflow over the occupied wires and
 /// accrues history on every overflowed one. Lives here (not in the layer)
 /// so the seeded-bug testhook corrupts tally and accrual TOGETHER — the
@@ -196,7 +214,9 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
   } best;
 
   PatternStats patterns;
-  std::vector<NetRouteResult> pass_nets;
+  // Carried from pass to pass along with the layer's occupancy: only pass 1
+  // starts from an empty layer and fresh records.
+  std::vector<NetRouteResult> pass_nets(net_count);
   std::vector<std::size_t> failed;
   double present = options.present_factor;
   const int pass_cap = std::max(1, options.negotiate_passes);
@@ -208,27 +228,34 @@ RoutingResult route_circuit_negotiated(Device& device, const Circuit& circuit,
 
   for (int pass = 1; pass <= pass_cap; ++pass) {
     counters().negotiate_passes.fetch_add(1, std::memory_order_relaxed);
-    // Rip up everything: occupancy clears (history persists), then the new
-    // present factor takes effect on an empty layer.
-    layer.begin_pass();
+    // The new present factor is priced into the occupied wires, and each
+    // net is ripped up at its turn only when needs_reroute says so.
     layer.set_present_factor(present);
-    pass_nets.assign(net_count, NetRouteResult{});
     failed.clear();
     result.passes = pass;
+    int rerouted = 0;
 
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       if (budget.exhausted()) {
-        // Out of budget: everything not yet attempted this pass aborts;
-        // the committed prefix stays a consistent partial pass.
+        // Out of budget: everything not yet visited this pass is ripped up
+        // and aborts; the committed prefix stays a consistent partial pass.
         for (std::size_t rest = pos; rest < order.size(); ++rest) {
-          pass_nets[order[rest]].status = NetStatus::kAbortedBudget;
+          NetRouteResult& record = pass_nets[order[rest]];
+          rip_up(ctx, record, wire_nodes_of(device, record.edges));
+          record.status = NetStatus::kAbortedBudget;
           failed.push_back(order[rest]);
         }
         break;
       }
       const std::size_t idx = order[pos];
-      route_net_live(ctx, idx, pass_nets[idx], failed, patterns);
+      NetRouteResult& record = pass_nets[idx];
+      const std::vector<NodeId> wires = wire_nodes_of(device, record.edges);
+      if (!needs_reroute(layer, record, wires)) continue;
+      rip_up(ctx, record, wires);
+      ++rerouted;
+      route_net_live(ctx, idx, record, failed, patterns);
     }
+    result.reroute_trend.push_back(rerouted);
 
     last_overflow = tally_overflow_and_accrue(layer, options.history_increment);
     best_overflow_seen = std::min(best_overflow_seen, last_overflow);

@@ -23,12 +23,15 @@ extern std::atomic<bool> negotiate_break_history_update;
 
 /// Negotiated-congestion routing loop (DESIGN.md §13): the RouterMode::
 /// kNegotiated body route_circuit dispatches to. Iterative rip-up-and-
-/// reroute over a CongestionLayer — every pass rips all nets, re-routes
-/// them in fixed identity order against present-overflow + history pricing,
-/// accrues history on overflowed wires, and grows the present factor —
-/// until no wire is over capacity (converged), the pass cap expires (best
-/// pass wins, then over-capacity wires are vacated deterministically), or
-/// the work budget runs out. Two-pin nets try L/Z pattern probes
+/// reroute over a CongestionLayer — pass 1 routes every net on an empty
+/// layer; each later pass keeps the occupancy and records of the one
+/// before, reprices the occupied wires at the new present factor, and
+/// walks the nets in fixed identity order, ripping up and re-routing only
+/// the nets that failed last pass or hold an over-capacity wire at their
+/// turn. Every pass accrues history on overflowed wires and grows the
+/// present factor, until no wire is over capacity (converged), the pass
+/// cap expires (best pass wins, then over-capacity wires are vacated
+/// deterministically), or the work budget runs out. Two-pin nets try L/Z pattern probes
 /// (router/patterns.hpp) before the scoped engine. The returned solution
 /// and final device state satisfy the same exclusive-wire-ownership
 /// contract as paper mode.

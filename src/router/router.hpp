@@ -260,6 +260,12 @@ struct RoutingResult {
   /// mode.
   std::vector<int> overflow_trend;
 
+  /// Negotiated mode only: one entry per negotiation pass, holding how many
+  /// nets that pass routed. Pass 1 routes every net it reaches; later passes
+  /// re-route only the failed nets and the nets on over-capacity wires.
+  /// Always empty in paper mode.
+  std::vector<int> reroute_trend;
+
   /// Negotiated mode: corridor pattern-probe accounting across the whole
   /// run (attempts >= accepts; an accept means the probe's path shipped as
   /// the net's route for that pass). Zero in paper mode.

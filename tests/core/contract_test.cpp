@@ -9,8 +9,10 @@
 #include <cstdint>
 
 #include "fpga/device.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/grid.hpp"
+#include "graph/path_oracle.hpp"
 
 namespace fpr {
 namespace {
@@ -84,6 +86,25 @@ TEST(ContractTest, GraphRejectsMisuse) {
   EXPECT_EQ(g.node_count(), 3);
   EXPECT_EQ(g.edge_count(), 1);
   EXPECT_EQ(g.edge_weight(0), 1.0);
+}
+
+TEST(ContractTest, DijkstraRejectsOutOfRangeIdsOnAMaterializedGraph) {
+  // A materialized graph walks its CSR offsets unchecked, so the search
+  // entry points must reject a bad id before the walk reads past them.
+  Device device(ArchSpec::xc4000(8, 8, 4));
+  Graph& g = device.graph();
+  g.add_nodes(0);  // structural no-op: materializes the stamped graph
+  ASSERT_FALSE(g.tiled());
+  const NodeId n = g.node_count();
+  for (const NodeId bad : {n, n + 1, NodeId{-1}}) {
+    EXPECT_THROW(dijkstra(g, bad), ContractViolation) << "source " << bad;
+    const std::vector<NodeId> targets{0, bad};
+    EXPECT_THROW(dijkstra_within(g, 0, targets), ContractViolation) << "target " << bad;
+    PathOracle oracle(g);
+    EXPECT_THROW(oracle.from(bad), ContractViolation) << "source " << bad;
+  }
+  // The last id in range is still searchable.
+  EXPECT_TRUE(dijkstra(g, n - 1).reached(n - 1));
 }
 
 TEST(ContractTest, DeviceRejectsMisuse) {

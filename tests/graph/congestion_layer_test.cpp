@@ -1,6 +1,7 @@
 // CongestionLayer unit contract (DESIGN.md §13): present/history pricing on
 // wire nodes, bit-exact edge repricing (weight = base + cost(u)/2 +
-// cost(v)/2), rip-up-everything begin_pass semantics, and backend
+// cost(v)/2), rip-up-everything begin_pass semantics, present-factor
+// repricing with occupants in place, and backend
 // equivalence — the same occupancy/history trajectory produces bit-equal
 // edge weights on the tiled and the materialized graph representation.
 
@@ -141,6 +142,40 @@ TEST_F(CongestionLayerTest, PresentFactorAppliesToTheComingPass) {
   layer.add_occupant(v);
   layer.add_occupant(v);
   EXPECT_EQ(layer.node_cost(v), 4.0);  // 2.0 * (2 + 1 - 1)
+}
+
+TEST_F(CongestionLayerTest, NewPresentFactorRepricesOccupantsBitExactly) {
+  // Layer a keeps its occupants and takes the new factor in place; layer b
+  // (a twin device) clears with begin_pass, takes the factor on an empty
+  // layer and re-adds the same occupants. Every edge weight must agree bit
+  // for bit: no present term at the old factor may survive in a.
+  Device twin(ArchSpec::xc4000(4, 4, 4));
+  CongestionLayer a(device_.graph(), device_.block_count());
+  CongestionLayer b(twin.graph(), twin.block_count());
+  // Adjacent ids share switchbox edges, so some edges carry two priced ends.
+  const std::vector<int> occupants{3, 4, 4, 5, 9, 9, 9, 12};
+  for (CongestionLayer* layer : {&a, &b}) {
+    for (const int k : occupants) layer->add_occupant(wire(k));
+    layer->remove_occupant(wire(12));  // ripped up and re-added: listed twice
+    layer->add_occupant(wire(12));
+    layer->accrue_history(wire(4), 0.25);
+  }
+  const std::vector<Weight> before = all_weights();
+
+  a.set_present_factor(8.0);
+  b.begin_pass();
+  b.set_present_factor(8.0);
+  for (const int k : occupants) b.add_occupant(wire(k));
+
+  EXPECT_NE(all_weights(), before) << "the new factor must reprice the occupied wires";
+  const Graph& g = twin.graph();
+  const std::vector<Weight> after = all_weights();
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    ASSERT_EQ(after[static_cast<std::size_t>(e)], g.edge_weight(e)) << "edge " << e;
+  }
+  EXPECT_EQ(a.occupied(), b.occupied());
+  EXPECT_EQ(a.total_overflow(), b.total_overflow());
+  EXPECT_EQ(a.node_cost(wire(9)), 24.0);  // 8.0 * (3 + 1 - 1)
 }
 
 TEST_F(CongestionLayerTest, TiledAndMaterializedBackendsAgreeBitExactly) {
