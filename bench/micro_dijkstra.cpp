@@ -1,18 +1,23 @@
-// Microbench of the shortest-path hot path: the CSR/arena/4-ary-heap engine
+// Microbench of the shortest-path hot path: the arena/radix-heap engine
 // versus the frozen pre-change engine (graph/dijkstra_reference.hpp), on
 // repeated single-source runs over Table 1's grid substrates at the paper's
-// congestion levels (none/low/medium), a random graph, and radius-bounded
-// scoped runs.
+// congestion levels (none/low/medium), a random graph, radius-bounded
+// scoped runs, and a stamped xc4000 100x100 W=12 device (full runs, and
+// scoped runs between the 8 block pins of a local net) — the regime where
+// the frontier queue dominates.
 //
-// Both engines produce bit-identical dist arrays (checksummed here; pinned
-// exhaustively by tests/graph/dijkstra_differential_test.cpp), so the
-// timings compare identical work.
+// Before timing, both engines must produce bit-identical dist, parent,
+// parent_edge and settled arrays on every source the timing loop visits
+// (pinned exhaustively by tests/graph/dijkstra_differential_test.cpp), so
+// the timings compare identical work; any disagreement exits 1.
 //
 // Writes a machine-readable record (default BENCH_dijkstra.json, override
 // with --json <path>) — the start of the repo's perf trajectory.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <random>
 #include <string>
@@ -22,6 +27,7 @@
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
 #include "core/rng.hpp"
+#include "fpga/device.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dijkstra_reference.hpp"
 #include "graph/grid.hpp"
@@ -35,6 +41,7 @@ struct Case {
   std::string name;
   Graph graph;
   std::vector<NodeId> targets;  // non-empty => scoped dijkstra_within runs
+  std::vector<NodeId> sources;  // empty => sources spread over the graph
 };
 
 struct Measurement {
@@ -62,30 +69,56 @@ double time_per_run(const std::function<void(int)>& body, int batch, double min_
   return 1e9 * elapsed / static_cast<double>(runs);
 }
 
+template <typename T>
+bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Bitwise tree equality, settled flags included. The one documented
+/// divergence (dijkstra_reference.hpp): a scoped run that exhausts its
+/// component is complete here, while the reference may report it stopped
+/// early — then the reference must have settled every node it reached.
+bool same_tree(const ShortestPathTree& got, const ShortestPathTree& ref) {
+  if (!bits_equal(got.dist, ref.dist) || !bits_equal(got.parent, ref.parent) ||
+      !bits_equal(got.parent_edge, ref.parent_edge)) {
+    return false;
+  }
+  if (got.complete() && !ref.complete()) {
+    for (std::size_t v = 0; v < ref.dist.size(); ++v) {
+      if (ref.dist[v] < kInfiniteWeight && ref.settled[v] == 0) return false;
+    }
+    return true;
+  }
+  return bits_equal(got.settled, ref.settled);
+}
+
 Measurement measure_case(const Case& c, double min_seconds) {
   const Graph& g = c.graph;
   const NodeId n = g.node_count();
-  const auto source_of = [n](int i) { return static_cast<NodeId>((i * 37) % n); };
+  const auto source_of = [&c, n](int i) {
+    return c.sources.empty() ? static_cast<NodeId>((i * 37) % n)
+                             : c.sources[static_cast<std::size_t>(i) % c.sources.size()];
+  };
+  // 64 runs per batch on the small substrates, 8 on the device (one per
+  // pin of the scoped case) so a warmup sweep stays near a second.
+  const int batch = std::max(8, static_cast<int>(64LL * 4096 / std::max<NodeId>(n, 4096)));
 
   // Equal-work guard: the two engines must agree exactly on every source
   // the timing loop will visit.
   ShortestPathTree reused;
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < batch; ++i) {
     const NodeId s = source_of(i);
     if (c.targets.empty()) {
       dijkstra(g, s, reused);
-      const auto ref = reference::dijkstra(g, s);
-      if (reused.dist != ref.dist) {
-        std::fprintf(stderr, "FATAL: engines disagree on %s source %d\n", c.name.c_str(), s);
-        std::exit(1);
-      }
     } else {
       dijkstra_within(g, s, c.targets, reused);
-      const auto ref = reference::dijkstra_within(g, s, c.targets);
-      if (reused.dist != ref.dist) {
-        std::fprintf(stderr, "FATAL: engines disagree on %s source %d\n", c.name.c_str(), s);
-        std::exit(1);
-      }
+    }
+    const auto ref = c.targets.empty() ? reference::dijkstra(g, s)
+                                       : reference::dijkstra_within(g, s, c.targets);
+    if (!same_tree(reused, ref)) {
+      std::fprintf(stderr, "FATAL: engines disagree on %s source %d\n", c.name.c_str(), s);
+      std::exit(1);
     }
   }
 
@@ -93,7 +126,6 @@ Measurement measure_case(const Case& c, double min_seconds) {
   // only need a cheap data dependency so the runs cannot be optimized out.
   Measurement m;
   volatile double sink = 0;
-  const int batch = 64;
 
   long long runs = 0;
   m.ref_ns = time_per_run(
@@ -163,7 +195,7 @@ int main(int argc, char** argv) {
   using namespace fpr;
   bench::banner(
       "micro_dijkstra — repeated single-source shortest paths\n"
-      "CSR/arena/4-ary-heap engine vs the frozen pre-change engine");
+      "arena/radix-heap engine vs the frozen pre-change engine");
 
   const char* json_path = bench::json_output_path(argc, argv);
   const char* default_path = "BENCH_dijkstra.json";
@@ -175,18 +207,27 @@ int main(int argc, char** argv) {
   std::vector<Case> cases;
   {
     GridGraph g30(30, 30);
-    cases.push_back({"grid30_uncongested", g30.graph(), {}});
-    cases.push_back({"grid30_congested_low", congested_grid(30, 10, 1995), {}});
-    cases.push_back({"grid30_congested_med", congested_grid(30, 20, 1995), {}});
+    cases.push_back({"grid30_uncongested", g30.graph(), {}, {}});
+    cases.push_back({"grid30_congested_low", congested_grid(30, 10, 1995), {}, {}});
+    cases.push_back({"grid30_congested_med", congested_grid(30, 20, 1995), {}, {}});
     GridGraph g60(60, 60);
-    cases.push_back({"grid60_uncongested", g60.graph(), {}});
-    cases.push_back({"grid60_congested_med", congested_grid(60, 20, 1996), {}});
-    cases.push_back({"random1500", random_graph(1500, 3000, 1995), {}});
+    cases.push_back({"grid60_uncongested", g60.graph(), {}, {}});
+    cases.push_back({"grid60_congested_med", congested_grid(60, 20, 1996), {}, {}});
+    cases.push_back({"random1500", random_graph(1500, 3000, 1995), {}, {}});
     Graph g40 = congested_grid(40, 20, 1997);
     GridGraph coords(40, 40);
     std::vector<NodeId> targets;
     for (int i = 0; i < 8; ++i) targets.push_back(coords.node_at(3 + 2 * i, 5 + i));
-    cases.push_back({"grid40_congested_scoped8", std::move(g40), targets});
+    cases.push_back({"grid40_congested_scoped8", std::move(g40), targets, {}});
+
+    // A stamped device (tiled graph, DESIGN.md §12). The scoped case runs
+    // from each pin of one local net to the other pins, as the router's
+    // scoped path oracle does; its 8 block pins span an 11x8-tile window.
+    const Device device(ArchSpec::xc4000(100, 100, 12));
+    cases.push_back({"xc4000_100x100_w12", device.graph(), {}, {}});
+    std::vector<NodeId> pins;
+    for (int i = 0; i < 8; ++i) pins.push_back(device.block_node(40 + (i * 3) % 11, 45 + i));
+    cases.push_back({"xc4000_100x100_w12_scoped8", device.graph(), pins, pins});
   }
 
   const bench::Stopwatch watch;

@@ -38,10 +38,12 @@ namespace {
 ///
 /// On a stopped-early run the settled set is derived rather than tracked:
 /// nodes settle in strictly increasing (dist, node id) order, and when the
-/// search breaks, (stop_d, stop_node) is the minimum entry still in the
-/// heap — so a touched node is settled iff its label is lexicographically
-/// below that entry. This keeps per-node "done" bookkeeping out of the hot
-/// loop entirely.
+/// search breaks, (stop_d, stop_node) is the live queue minimum (stale
+/// entries dropped) — so a touched node is settled iff its label is
+/// lexicographically below that entry. This keeps per-node "done"
+/// bookkeeping out of the hot loop entirely. A zero-weight edge to a lower
+/// id breaks the strict order only at equal distance, so the derived set
+/// can then miss a node settled at stop_d, never include an unsettled one.
 void export_tree(const DijkstraArena& arena, NodeId node_count, bool stopped_early,
                  Weight stop_d, NodeId stop_node, ShortestPathTree& out) {
   arena.export_labels(node_count, out.dist, out.parent, out.parent_edge);
@@ -128,9 +130,9 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
   bool stopped_early = false;
   Weight stop_d = 0;
   NodeId stop_node = kInvalidNode;
-  while (!arena.heap_empty()) {
-    const NodeId u = arena.heap_min();
-    const Weight d = arena.heap_min_key();
+  NodeId u;
+  Weight d;
+  while (arena.pop_min(u, d)) {
     if (d > limit) {
       stopped_early = true;
       stop_d = d;
@@ -139,16 +141,15 @@ void dijkstra_impl(const Graph& g, NodeId source, std::span<const NodeId> target
     }
     if (budget != nullptr && !budget->charge()) {
       // Budget spent: u is NOT settled (its label may still be tentative).
-      // (d, u) is the heap minimum, so the derived settled set is exactly
-      // the nodes expanded before the abort — deterministic for a given
-      // budget regardless of platform or thread count.
+      // (d, u) is the live queue minimum, so the derived settled set is
+      // exactly the nodes expanded before the abort — deterministic for a
+      // given budget regardless of platform or thread count.
       stopped_early = true;
       out.budget_aborted = true;
       stop_d = d;
       stop_node = u;
       break;
     }
-    arena.heap_pop_min();
     if (pending_count > 0 && arena.pending(u)) {
       arena.clear_pending(u);
       if (--pending_count == 0) {

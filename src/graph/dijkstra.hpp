@@ -61,13 +61,15 @@ struct ShortestPathTree {
   std::vector<NodeId> path_nodes_to(NodeId v) const;
 };
 
-/// Runs Dijkstra over the usable part of g. O((V + E) log V).
+/// Runs Dijkstra over the usable part of g: at most one queue entry per
+/// edge relaxation, each moved between radix buckets at most 96 times
+/// (once per key bit).
 ///
 /// The engine walks Graph::for_each_incident (template slots on a tiled
 /// graph, the topology-only CSR on a materialized one), reads weights and
 /// activity from the per-edge store, and keeps its labels in a thread-local
-/// epoch-stamped arena with an indexed 4-ary heap with decrease-key — see
-/// DESIGN.md §8. Output is bit-identical to the
+/// epoch-stamped arena whose frontier is a monotone radix heap with lazy
+/// deletion — see DESIGN.md §8. Output is bit-identical to the
 /// historical binary-heap engine (kept in graph/dijkstra_reference.hpp and
 /// pinned by tests/graph/dijkstra_differential_test.cpp).
 ///

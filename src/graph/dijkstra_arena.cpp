@@ -31,13 +31,17 @@ void DijkstraArena::begin_run(NodeId node_count) {
     pending_stamp_.resize(n, 0);
     dist_.resize(n, kInfiniteWeight);  // establish the untouched invariant
     origin_.resize(n);
-    pos_.resize(n);
   }
   // Restore the untouched invariant by rewriting exactly the nodes the
   // previous run dirtied — O(touched), not O(n).
   for (const NodeId v : dirty_) dist_[static_cast<std::size_t>(v)] = kInfiniteWeight;
   dirty_.clear();
-  heap_.clear();
+  // Only a stopped-early run leaves entries queued; clear just those buckets.
+  for (; occupied_ != 0; occupied_ &= occupied_ - 1) {
+    buckets_[static_cast<std::size_t>(lowest_bucket(occupied_))].clear();
+  }
+  below_.clear();
+  last_ = 0;
   if (++epoch_ == 0) {
     // Epoch counter wrapped (once per 2^32 runs): pending marks from 4
     // billion runs ago could collide, so pay one real reinitialization.

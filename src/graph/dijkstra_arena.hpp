@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -11,8 +14,8 @@ namespace fpr {
 /// Reusable scratch space for the Dijkstra engine: per-node labels
 /// (dist/parent/parent_edge), a dirty list that makes resets cost
 /// O(nodes actually touched) instead of O(graph), an epoch counter that
-/// makes target-set setup/teardown O(1), and an indexed 4-ary min-heap with
-/// decrease-key.
+/// makes target-set setup/teardown O(1), and a monotone radix heap with
+/// lazy deletion as the frontier queue.
 ///
 /// The distance array upholds one invariant between runs: every node not
 /// touched by the current run holds kInfiniteWeight. begin_run() restores
@@ -25,18 +28,20 @@ namespace fpr {
 /// monotonically to the largest graph seen and are never shrunk, making
 /// repeated single-source runs allocation-free at steady state.
 ///
-/// Heap entries carry their key inline, so sift comparisons stay within the
-/// heap array instead of chasing dist_ at scattered indices; pos_ maps a
-/// touched, unsettled node back to its entry for decrease-key, so each node
-/// appears at most once. An entry packs (distance bits << 32 | node id)
-/// into one 128-bit integer: distances are non-negative finite doubles,
-/// whose IEEE-754 bit patterns order identically to their values, so a
-/// single integer comparison reproduces the (dist, node) lexicographic
-/// order — smaller node id first among equal distances — that the previous
-/// std::priority_queue engine used. Settle order, and with it the parent
-/// forest, is therefore bit-identical, and the tie-heavy comparisons of
-/// uniform-weight graphs cost one predictable compare instead of a
-/// FP-equality branch cascade.
+/// A queue entry packs (distance bits << 32 | node id) into one 128-bit
+/// integer: distances are non-negative finite doubles, whose IEEE-754 bit
+/// patterns order identically to their values, so a single integer
+/// comparison reproduces the (dist, node) lexicographic order — smaller
+/// node id first among equal distances — that the historical
+/// std::priority_queue engine used. relax() pushes a new entry and leaves
+/// the one it supersedes queued; pop_min() drops such stale entries (key
+/// above dist_[v]) when they surface. Entries at or above the last
+/// extracted key sit in the bucket of the highest bit in which they differ
+/// from it; a zero-weight edge to a lower node id at the same distance
+/// yields a key below it, which waits in a small min-heap that pops first.
+/// pop_min() therefore returns the successive minimum of the live keys,
+/// exactly the settle order of the old indexed heap, so trees stay
+/// bit-identical (DESIGN.md §8).
 ///
 /// One arena serves one thread. Use thread_local_instance() to get this
 /// thread's pooled arena; that composes with the src/core/parallel pool
@@ -70,37 +75,47 @@ class DijkstraArena {
     return touched(v) ? origin_[static_cast<std::size_t>(v)].via : kInvalidEdge;
   }
 
-  /// Records an improved label for v and inserts it into the heap (first
-  /// touch this run) or sifts its entry up in place (decrease-key). Callers
-  /// only invoke this after `d < dist(v)`, so `dist(v) == kInfiniteWeight`
+  /// Records an improved label for v and queues its new key. Callers only
+  /// invoke this after `d < dist(v)`, so `dist(v) == kInfiniteWeight`
   /// identifies the first touch.
   void relax(NodeId v, Weight d, NodeId par, EdgeId via) {
     const auto idx = static_cast<std::size_t>(v);
-    const bool first_touch = dist_[idx] == kInfiniteWeight;
+    if (dist_[idx] == kInfiniteWeight) dirty_.push_back(v);
     dist_[idx] = d;
     origin_[idx] = {par, via};
-    std::int32_t i;
-    if (first_touch) {
-      dirty_.push_back(v);
-      i = static_cast<std::int32_t>(heap_.size());
-      heap_.push_back(make_entry(d, v));
-    } else {
-      i = pos_[idx];
-      heap_[static_cast<std::size_t>(i)] = make_entry(d, v);
+    const HeapEntry e = make_entry(d, v);
+    if (e < last_) {
+      below_.push_back(e);
+      std::push_heap(below_.begin(), below_.end(), std::greater<>{});
+      return;
     }
-    sift_up(i);
+    const int b = bucket_of(e ^ last_);
+    buckets_[static_cast<std::size_t>(b)].push_back(e);
+    occupied_ |= HeapEntry{1} << b;
   }
 
-  // ---- heap ----
+  // ---- frontier queue ----
 
-  bool heap_empty() const { return heap_.empty(); }
-  NodeId heap_min() const { return entry_node(heap_.front()); }
-  Weight heap_min_key() const { return entry_key(heap_.front()); }
-
-  void heap_pop_min() {
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down_from_root(last);
+  /// Removes the live minimum (dist, node) from the queue into (u, d),
+  /// dropping stale entries on the way; false once the queue is empty.
+  bool pop_min(NodeId& u, Weight& d) {
+    while (true) {
+      HeapEntry e;
+      if (!below_.empty()) {
+        std::pop_heap(below_.begin(), below_.end(), std::greater<>{});
+        e = below_.back();
+        below_.pop_back();
+      } else {
+        if (occupied_ == 0) return false;
+        if ((occupied_ & 1) == 0) redistribute();  // bucket 0: keys equal to last_
+        e = buckets_[0].back();
+        buckets_[0].pop_back();
+        if (buckets_[0].empty()) occupied_ &= ~HeapEntry{1};
+      }
+      u = entry_node(e);
+      d = entry_key(e);
+      if (d == dist_[static_cast<std::size_t>(u)]) return true;
+    }
   }
 
   // ---- pending-target bookkeeping (dijkstra_within) ----
@@ -142,66 +157,43 @@ class DijkstraArena {
     return std::bit_cast<Weight>(static_cast<std::uint64_t>(e >> 32));
   }
 
-  static bool entry_less(HeapEntry a, HeapEntry b) { return a < b; }
-
-  void sift_up(std::int32_t i) {
-    const HeapEntry e = heap_[static_cast<std::size_t>(i)];
-    while (i > 0) {
-      const std::int32_t par = (i - 1) >> 2;
-      const HeapEntry p = heap_[static_cast<std::size_t>(par)];
-      if (!entry_less(e, p)) break;
-      heap_[static_cast<std::size_t>(i)] = p;
-      pos_[static_cast<std::size_t>(entry_node(p))] = i;
-      i = par;
-    }
-    heap_[static_cast<std::size_t>(i)] = e;
-    pos_[static_cast<std::size_t>(entry_node(e))] = i;
+  /// 0 for x == 0, else one plus the index of x's highest set bit. Keys
+  /// use bits 0..95, so buckets 0..96 suffice.
+  static int bucket_of(HeapEntry x) {
+    const auto hi = static_cast<std::uint64_t>(x >> 64);
+    return hi != 0 ? 128 - std::countl_zero(hi)
+                   : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
+  }
+  static int lowest_bucket(HeapEntry mask) {
+    const auto lo = static_cast<std::uint64_t>(mask);
+    return lo != 0 ? std::countr_zero(lo)
+                   : 64 + std::countr_zero(static_cast<std::uint64_t>(mask >> 64));
   }
 
-  /// Re-seats `e` (the former last entry) after the root was popped, using
-  /// Floyd's bottom-up variant: pull the min-child chain up into the root
-  /// hole all the way to a leaf without comparing against `e` (as the
-  /// just-removed tail of the array, `e` almost always belongs near the
-  /// bottom), then sift `e` up from the leaf hole — usually zero moves.
-  void sift_down_from_root(HeapEntry e) {
-    const auto size = static_cast<std::int32_t>(heap_.size());
-    const HeapEntry* h = heap_.data();
-    std::int32_t i = 0;
-    while (true) {
-      const std::int32_t c0 = 4 * i + 1;
-      if (c0 >= size) break;
-      std::int32_t best;
-      if (c0 + 3 < size) {
-        // Full 4-child block: tournament min with independent comparisons
-        // (selects compile to conditional moves), instead of a serial
-        // data-dependent scan whose branches mispredict on tie-heavy heaps.
-        const std::int32_t b01 = entry_less(h[c0 + 1], h[c0]) ? c0 + 1 : c0;
-        const std::int32_t b23 = entry_less(h[c0 + 3], h[c0 + 2]) ? c0 + 3 : c0 + 2;
-        best = entry_less(h[b23], h[b01]) ? b23 : b01;
-      } else {
-        best = c0;
-        for (std::int32_t c = c0 + 1; c < size; ++c) {
-          if (entry_less(h[c], h[best])) best = c;
-        }
-      }
-      const HeapEntry b = h[best];
-      heap_[static_cast<std::size_t>(i)] = b;
-      pos_[static_cast<std::size_t>(entry_node(b))] = i;
-      i = best;
+  /// Makes the minimum of the lowest non-empty bucket the new last_ and
+  /// re-buckets that bucket's entries against it; each lands strictly lower.
+  void redistribute() {
+    const int b = lowest_bucket(occupied_);
+    std::vector<HeapEntry>& from = buckets_[static_cast<std::size_t>(b)];
+    last_ = *std::min_element(from.begin(), from.end());
+    occupied_ &= ~(HeapEntry{1} << b);
+    for (const HeapEntry e : from) {
+      const int to = bucket_of(e ^ last_);
+      buckets_[static_cast<std::size_t>(to)].push_back(e);
+      occupied_ |= HeapEntry{1} << to;
     }
-    // `i` is now a leaf hole; place `e` and restore the invariant upward.
-    heap_[static_cast<std::size_t>(i)] = e;
-    pos_[static_cast<std::size_t>(entry_node(e))] = i;
-    sift_up(i);
+    from.clear();
   }
 
   std::uint32_t epoch_ = 0;               // validates pending_stamp_ marks
   std::vector<std::uint32_t> pending_stamp_;
   std::vector<Weight> dist_;    // invariant: kInfiniteWeight unless touched
   std::vector<Origin> origin_;  // {parent, parent_edge}, written as one record
-  std::vector<NodeId> dirty_;      // nodes touched by the current run
-  std::vector<std::int32_t> pos_;  // heap index of a touched, unsettled node
-  std::vector<HeapEntry> heap_;    // 4-ary implicit heap, keys inline
+  std::vector<NodeId> dirty_;  // nodes touched by the current run
+  HeapEntry last_ = 0;         // last key extracted from the buckets
+  HeapEntry occupied_ = 0;     // bit b set iff buckets_[b] is non-empty
+  std::array<std::vector<HeapEntry>, 97> buckets_;
+  std::vector<HeapEntry> below_;  // min-heap of keys queued below last_
 };
 
 }  // namespace fpr

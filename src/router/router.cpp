@@ -498,10 +498,7 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
       break;
     }
     result.failed_nets = static_cast<int>(failed.size());
-    if (budget.exhausted()) {
-      result.budget_exhausted = true;
-      break;  // partial solution: committed prefix + per-net abort statuses
-    }
+    if (budget.exhausted()) break;  // partial: committed prefix + per-net statuses
     if (result.failed_nets < best_failed) {
       best_failed = result.failed_nets;
       stalled = 0;
@@ -534,6 +531,10 @@ RoutingResult route_circuit(Device& device, const Circuit& circuit,
   }
   router_internal::accumulate_degradation_stats(device, circuit, options, result);
   router_internal::accumulate_totals(result);
+  // From the statuses, as in negotiated mode and repair: the last net in
+  // order can route on the final allowed expansion after an earlier net
+  // failed, which spends the budget with no net aborted on it.
+  result.budget_exhausted = result.nets_aborted_budget > 0;
   return result;
 }
 

@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
+#include "graph/budget.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dijkstra_reference.hpp"
 #include "graph/grid.hpp"
@@ -60,12 +62,16 @@ void expect_same_tree(const ShortestPathTree& got, const ShortestPathTree& want)
 
 /// One random mutation, mirrored on nothing — both engines read the same
 /// graph, so mutations just need to hit every code path that feeds the
-/// flat traversal-weight array.
+/// flat traversal-weight array. Weight 0 and dyadic quarter weights reach
+/// the frontier queue's edge cases: equal-distance ties across many ids,
+/// and keys that land below the last extracted one (a zero-weight edge to
+/// a lower node id).
 void mutate(Graph& g, std::mt19937_64& rng) {
-  std::uniform_int_distribution<int> op(0, 5);
+  std::uniform_int_distribution<int> op(0, 7);
   std::uniform_int_distribution<NodeId> node(0, g.node_count() - 1);
   std::uniform_int_distribution<EdgeId> edge(0, g.edge_count() - 1);
   std::uniform_int_distribution<int> w(1, 10);
+  std::uniform_int_distribution<int> quarters(0, 10);
   switch (op(rng)) {
     case 0: g.remove_edge(edge(rng)); break;
     case 1: g.restore_edge(edge(rng)); break;
@@ -73,6 +79,8 @@ void mutate(Graph& g, std::mt19937_64& rng) {
     case 3: g.restore_node(node(rng)); break;
     case 4: g.set_edge_weight(edge(rng), w(rng)); break;
     case 5: g.add_edge_weight(edge(rng), 1); break;
+    case 6: g.set_edge_weight(edge(rng), 0); break;
+    case 7: g.set_edge_weight(edge(rng), quarters(rng) * 0.25); break;
   }
 }
 
@@ -122,8 +130,63 @@ TEST_P(DijkstraDifferentialTest, GridGraphWithInterleavedMutations) {
   }
 }
 
+// A run with a budget of k expansions settles exactly the first k nodes of
+// the unbudgeted settle order, with bit-equal labels for them. All weights
+// are positive quarter steps, so that order is the reached nodes sorted by
+// (dist, id), many of them tied on distance.
+TEST_P(DijkstraDifferentialTest, BudgetedRunSettlesAPrefixOfTheFullOrder) {
+  const unsigned seed = GetParam();
+  std::mt19937_64 rng(testing::seeded_rng("dijkstra_differential/budget", seed));
+  std::uniform_int_distribution<NodeId> size(5, 80);
+  const NodeId n = size(rng);
+  std::uniform_int_distribution<EdgeId> extra(0, n * 2);
+  Graph g = testing::random_connected_graph(n, extra(rng), seed);
+  std::uniform_int_distribution<int> quarters(1, 10);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) g.set_edge_weight(e, quarters(rng) * 0.25);
+  std::uniform_int_distribution<NodeId> node(0, n - 1);
+  for (int m = 0; m < 3; ++m) g.remove_node(node(rng));
+  const NodeId source = node(rng);
+
+  const ShortestPathTree full = dijkstra(g, source);
+  expect_same_tree(full, reference::dijkstra(g, source));
+  std::vector<NodeId> order;
+  for (NodeId v = 0; v < n; ++v) {
+    if (full.reached(v)) order.push_back(v);
+  }
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    const Weight da = full.dist[static_cast<std::size_t>(a)];
+    const Weight db = full.dist[static_cast<std::size_t>(b)];
+    return da < db || (da == db && a < b);
+  });
+
+  const auto reached = static_cast<long long>(order.size());
+  ShortestPathTree out;
+  for (long long k = 1; k <= reached + 1; ++k) {
+    WorkBudget budget{k};
+    dijkstra(g, source, out, &budget);
+    EXPECT_EQ(budget.used, std::min(k, reached)) << "k " << k;
+    if (k >= reached) {
+      EXPECT_FALSE(out.budget_aborted) << "k " << k;
+      expect_same_tree(out, full);
+      continue;
+    }
+    ASSERT_TRUE(out.budget_aborted) << "k " << k;
+    ASSERT_EQ(out.settled.size(), static_cast<std::size_t>(n));
+    std::vector<char> want(static_cast<std::size_t>(n), 0);
+    for (long long i = 0; i < k; ++i) want[static_cast<std::size_t>(order[i])] = 1;
+    expect_bits_equal(out.settled, want, "settled");
+    for (long long i = 0; i < k; ++i) {
+      const auto v = static_cast<std::size_t>(order[i]);
+      EXPECT_EQ(std::memcmp(&out.dist[v], &full.dist[v], sizeof(Weight)), 0) << "node " << v;
+      EXPECT_EQ(out.parent[v], full.parent[v]) << "node " << v;
+      EXPECT_EQ(out.parent_edge[v], full.parent_edge[v]) << "node " << v;
+    }
+  }
+}
+
 // 100 random-graph instances + 100 grid instances, each compared at ~7
-// mutation checkpoints for both unbounded and scoped runs.
+// mutation checkpoints for both unbounded and scoped runs, plus 100
+// budget-prefix sweeps.
 INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraDifferentialTest, ::testing::Range(0u, 100u));
 
 TEST(DijkstraDifferentialTest, InactiveSourceMatches) {

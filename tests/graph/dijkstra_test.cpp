@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
+#include "graph/dijkstra_reference.hpp"
 #include "graph/grid.hpp"
 #include "test_util.hpp"
 
@@ -148,6 +150,44 @@ TEST(DijkstraTest, ZeroWeightEdges) {
   const auto spt = dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(spt.distance(2), 0);
   EXPECT_TRUE(spt.reached(2));
+}
+
+// A zero-weight edge from the node just settled to a lower id at the same
+// distance queues a key below the last one extracted: (1, 7) after (1, 8).
+// It must settle next, before (1, 9), exactly as in the reference engine,
+// so node 5 (1.5 away through 7 or through 9) takes 7 as its parent. The
+// ids differ in a high bit (7 = 0111, 8 = 1000) and 9 differs from 8 only
+// in the lowest, so a queue that bucketed the key by its distance from the
+// last extracted one would pop (1, 9) first. A scoped run whose radius ends
+// at distance 1 compares the settled set too.
+TEST(DijkstraTest, ZeroWeightEdgeToALowerIdAtTheSameDistance) {
+  Graph g(11);
+  g.add_edge(10, 8, 1);
+  g.add_edge(10, 9, 1);
+  g.add_edge(8, 7, 0);
+  g.add_edge(7, 5, 0.5);
+  g.add_edge(9, 5, 0.5);
+  g.add_edge(9, 4, 0.25);
+  g.add_edge(5, 0, 0.25);
+  const auto expect_bitwise = [](const ShortestPathTree& got, const ShortestPathTree& want) {
+    ASSERT_EQ(got.dist.size(), want.dist.size());
+    EXPECT_EQ(std::memcmp(got.dist.data(), want.dist.data(), got.dist.size() * sizeof(Weight)), 0);
+    EXPECT_EQ(got.parent, want.parent);
+    EXPECT_EQ(got.parent_edge, want.parent_edge);
+    EXPECT_EQ(got.settled, want.settled);
+  };
+  const auto full = dijkstra(g, 10);
+  expect_bitwise(full, reference::dijkstra(g, 10));
+  EXPECT_EQ(full.parent[7], 8);
+  EXPECT_EQ(full.parent[5], 7);
+
+  const std::vector<NodeId> targets{7};
+  const auto scoped = dijkstra_within(g, 10, targets, 1.0, 0.0);
+  expect_bitwise(scoped, reference::dijkstra_within(g, 10, targets, 1.0, 0.0));
+  ASSERT_FALSE(scoped.complete());
+  for (const NodeId v : {10, 8, 7, 9}) EXPECT_TRUE(scoped.knows(v)) << v;
+  EXPECT_FALSE(scoped.knows(4));
+  EXPECT_FALSE(scoped.knows(5));
 }
 
 // Property: triangle inequality and symmetry over random graphs.

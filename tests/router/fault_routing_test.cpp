@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "check/generate.hpp"
 #include "check/oracles.hpp"
 #include "router/router.hpp"
 #include "router/width_search.hpp"
@@ -214,6 +215,40 @@ TEST(FaultRoutingTest, RoutedNetsMeasureFiniteOptimalUnderTightBudget) {
     EXPECT_GE(net.max_pathlength, net.optimal_max_pathlength - 1e-9);
   }
   EXPECT_TRUE(any_routed);
+}
+
+// Regression for the paper-mode run-level budget flag: route_circuit used
+// to set budget_exhausted from the budget alone. In both cases below an
+// earlier net fails on congestion and the last net in order routes on the
+// final allowed expansion, so the budget reads spent with no net in status
+// kAbortedBudget, and the feasibility oracle rejected the result. The flag
+// now says what the statuses say. Both lines are fuzz_fpr --oracle faults
+// repros (seed 2).
+TEST(FaultRoutingTest, BudgetFlagMatchesAbortedNetsWhenTheLastNetSpendsTheBudget) {
+  const char* const cases[] = {
+      "circuit family=xc3000 rows=3 cols=3 width=8 nets=9,1,1 synth_seed=3026135308 algo=IZEL "
+      "decompose=0 fault_seed=5901110185283389284 fault_clusters=1 budget=41000",
+      "circuit family=xc4000 rows=4 cols=5 width=8 nets=8,0,0 synth_seed=1518673364 algo=IZEL "
+      "decompose=0 fault_seed=10807755748913673367 fault_clusters=1 budget=59000",
+  };
+  for (const char* line : cases) {
+    SCOPED_TRACE(line);
+    const auto c = check::CircuitCase::parse(line);
+    ASSERT_TRUE(c.has_value());
+    const ArchSpec arch = c->arch();
+    const Circuit circuit = c->circuit();
+    const RouterOptions options = c->router_options();
+    Device device(arch);
+    device.install_faults(c->faults);
+    const RoutingResult result = route_circuit(device, circuit, options);
+    // The case must still exercise the edge: the budget is spent, yet no
+    // net aborted on it.
+    EXPECT_EQ(result.work_used, options.node_budget);
+    EXPECT_EQ(result.nets_aborted_budget, 0);
+    EXPECT_FALSE(result.budget_exhausted);
+    const auto check = check::check_routing_feasibility(arch, circuit, result, options, &c->faults);
+    EXPECT_TRUE(check.ok()) << check.message();
+  }
 }
 
 TEST(WidthSearchStatusTest, EmptyRange) {
